@@ -3,7 +3,7 @@ decomposition, and minimality analysis with an exhaustive oracle."""
 
 __version__ = "0.1.0"
 
-from .ff import Field, MatrixModP, PrimeField, field_make, nullspace
+from .ff import Field, field_make, nullspace
 from .geometry import (Hyperplane, ProjLine, ProjPoint, ProjectiveSpace,
                        SubspacePointSet, space_make)
 from .codes import (Codeword, Decomposition, combine, incidence_codeword,
@@ -20,7 +20,7 @@ from .minimality import (AdjacencyWitnessGraph, HyperplanePartition,
 
 __all__ = [
     "__version__",
-    "Field", "MatrixModP", "PrimeField", "field_make", "nullspace",
+    "Field", "field_make", "nullspace",
     "Hyperplane", "ProjLine", "ProjPoint", "ProjectiveSpace",
     "SubspacePointSet", "space_make",
     "Codeword", "Decomposition", "combine", "incidence_codeword",

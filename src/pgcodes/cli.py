@@ -96,6 +96,9 @@ def _build_from_spec(spec: dict, cap_points: Optional[int]):
         terms = []
         for hspec, coef in spec.get("terms", []):
             hidx = space.hyperplane_index(hspec) if isinstance(hspec, list) else int(hspec)
+            if not 0 <= hidx < space.num_hyperplanes:
+                raise ValueError(f"hyperplane index {hidx} out of range "
+                                 f"[0, {space.num_hyperplanes})")
             terms.append((hidx, int(coef)))
         cw, _ = codes.combine(space, terms)
         return space, cw, None

@@ -176,11 +176,6 @@ def restricted_weight(c: Codeword, sub: SubspacePointSet) -> int:
     return int(np.count_nonzero(c.values[idx]))
 
 
-def restricted_support(c: Codeword, sub: SubspacePointSet) -> np.ndarray:
-    idx = np.asarray(sub.point_indices, dtype=np.int64)
-    return idx[c.values[idx] != 0]
-
-
 def partial_combination(d: Decomposition, subset: Iterable[int]) -> Codeword:
     """The combination restricted to a subset of the decomposition's terms."""
     subset = set(int(s) for s in subset)

@@ -13,7 +13,6 @@ can run field arithmetic on whole numpy arrays via gathers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -193,41 +192,6 @@ def lowest_irreducible(p: int, h: int) -> list[int]:
         if is_irreducible(coeffs, p):
             return coeffs
     raise RuntimeError(f"no irreducible of degree {h} over F_{p}")  # unreachable
-
-
-# ---------------------------------------------------------------------------
-# Prime field
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PrimeField:
-    """The field F_p of residues mod a verified prime p."""
-
-    p: int
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
-    def inv(self, a: int) -> int:
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, -1, self.p)
-
-    def elements(self) -> range:
-        return range(self.p)
 
 
 # ---------------------------------------------------------------------------
@@ -451,10 +415,6 @@ class Field:
         self._require_tables()
         return self._mul[a, b]
 
-    def neg_v(self, a):
-        self._require_tables()
-        return self._neg[a]
-
     def inv_v(self, a):
         """Vectorised inverse; maps 0 to 0 (callers guard zero rows)."""
         self._require_tables()
@@ -497,39 +457,6 @@ def field_make(p: int, h: int, modulus: Optional[Sequence[int]] = None) -> Field
 # Linear algebra mod p
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MatrixModP:
-    """Dense matrix over F_p, entries row-major and canonical in [0, p)."""
-
-    field: PrimeField
-    rows: int
-    cols: int
-    entries: tuple[int, ...] = dc_field(default=())
-
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("negative dimensions")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entries length does not match rows * cols")
-        if any(not (0 <= e < self.field.p) for e in self.entries):
-            raise ValueError("entries must be canonical residues in [0, p)")
-
-    def row(self, i: int) -> list[int]:
-        return list(self.entries[i * self.cols:(i + 1) * self.cols])
-
-    def to_rows(self) -> list[list[int]]:
-        return [self.row(i) for i in range(self.rows)]
-
-
-def matrix_mod_p(p: int, rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> MatrixModP:
-    """Convenience constructor from a list of rows."""
-    pf = PrimeField(p)
-    nrows = len(rows)
-    ncols = cols if cols is not None else (len(rows[0]) if nrows else 0)
-    flat = tuple(int(v) % p for r in rows for v in r)
-    return MatrixModP(pf, nrows, ncols, flat)
-
-
 def _rref_mod_p(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
     m = [list(r) for r in rows]
     nrows = len(m)
@@ -558,30 +485,21 @@ def _rref_mod_p(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[in
     return m, pivots
 
 
-def nullspace(m: MatrixModP) -> list[tuple[int, ...]]:
-    """Basis of the right null space {x : m x = 0} over F_p.
+def nullspace(rows: Sequence[Sequence[int]], p: int, cols: int) -> list[tuple[int, ...]]:
+    """Basis of the right null space {x in F_p^cols : rows x = 0}.
 
-    One basis vector per free column: the free variable is set to 1, the
-    other free variables to 0, and the pivot variables are read off the
-    reduced echelon form.  Returns [] iff the null space is trivial.
+    Entries are reduced mod p.  One basis vector per free column: the free
+    variable is set to 1, the other free variables to 0, and the pivot
+    variables are read off the reduced echelon form.  Returns [] iff the null
+    space is trivial.
     """
-    p = m.field.p
-    ncols = m.cols
-    if ncols == 0:
-        return []
-    if m.rows == 0:
-        basis = []
-        for j in range(ncols):
-            v = [0] * ncols
-            v[j] = 1
-            basis.append(tuple(v))
-        return basis
-    rref, pivots = _rref_mod_p(m.to_rows(), p)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
+    rows = [[int(v) % p for v in r] for r in rows]
+    if any(len(r) != cols for r in rows):
+        raise ValueError(f"every row must have {cols} entries")
+    rref, pivots = _rref_mod_p(rows, p)
     basis = []
-    for f in free_cols:
-        v = [0] * ncols
+    for f in sorted(set(range(cols)) - set(pivots)):
+        v = [0] * cols
         v[f] = 1
         for r_i, c_i in enumerate(pivots):
             v[c_i] = (-rref[r_i][f]) % p

@@ -21,7 +21,7 @@ basis matrix, which keeps every enumeration a handful of table gathers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -192,6 +192,8 @@ class ProjectiveSpace:
     def point_index(self, coords: Sequence[int]) -> int:
         if len(coords) != self.n + 1:
             raise ValueError("coordinate vector has wrong length")
+        if any(not 0 <= int(c) < self.q for c in coords):
+            raise ValueError(f"coordinates {list(coords)} must lie in [0, {self.q})")
         row = self._enum.normalize_rows(np.asarray([coords], dtype=np.int16))
         return int(self._enum.index_rows(row)[0])
 
@@ -385,28 +387,9 @@ class ProjectiveSpace:
 
 
 # ---------------------------------------------------------------------------
-# Module-level operation aliases (the space is the context parameter)
+# Construction
 # ---------------------------------------------------------------------------
 
 def space_make(n: int, field: Field, max_points: Optional[int] = None) -> ProjectiveSpace:
     return ProjectiveSpace(n, field, max_points)
 
-
-def incident(space: ProjectiveSpace, p, h) -> bool:
-    return space.incident(p, h)
-
-
-def line_through(space: ProjectiveSpace, p, q) -> ProjLine:
-    return space.line_through(p, q)
-
-
-def lines_of(space: ProjectiveSpace, max_lines: Optional[int] = None) -> Iterator[ProjLine]:
-    return space.lines_of(max_lines)
-
-
-def hyperplanes_through(space: ProjectiveSpace, p) -> list[Hyperplane]:
-    return space.hyperplanes_through(p)
-
-
-def span_points(space: ProjectiveSpace, basis: Iterable) -> SubspacePointSet:
-    return space.span_points(list(basis))

@@ -14,14 +14,14 @@ independent cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import bounds
 from .bounds import BoundContext
 from .codes import Codeword, Decomposition, combine, weight
-from .ff import matrix_mod_p, nullspace
+from .ff import nullspace
 from .geometry import ProjectiveSpace, _f_matmul
 
 DEFAULT_ORACLE_CAP = 100_000_000
@@ -260,59 +260,42 @@ def decompose(c: Codeword, ctx: Optional[BoundContext] = None,
 # Partition refinement over the hole-witness adjacency graph
 # ---------------------------------------------------------------------------
 
-def _term_rows(d: Decomposition) -> np.ndarray:
-    """One dense value row per term: coefficient on the hyperplane, 0 off it."""
+def _union_values(d: Decomposition, blocks: Sequence[Iterable[int]]
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted union U of the term hyperplanes' points, and one row of F_p
+    values on U per block of terms: the block's partial combination.
+
+    Every partial combination vanishes off U, so refinement, holes, witness
+    and oracle need no other points.  With singleton blocks the rows form the
+    m x |U| term matrix T: term r's coefficient where U[k] lies on its
+    hyperplane, else 0.
+    """
     space = d.space
-    rows = np.zeros((d.m, space.num_points), dtype=np.int16)
-    for r, (hidx, coef) in enumerate(d.terms.items()):
-        rows[r, space.hyperplane_point_indices(hidx)] = coef
-    return rows
-
-
-def _block_values(d: Decomposition, partition: HyperplanePartition,
-                  term_rows: Optional[np.ndarray] = None) -> np.ndarray:
-    p = d.space.field.p
-    if term_rows is None:
-        term_rows = _term_rows(d)
-    order = {h: r for r, h in enumerate(d.terms)}
-    out = np.zeros((partition.size, d.space.num_points), dtype=np.int16)
-    for bi, block in enumerate(partition.blocks):
-        acc = np.zeros(d.space.num_points, dtype=np.int64)
+    pts = {h: space.hyperplane_point_indices(h) for h in d.terms}
+    union = np.unique(np.concatenate(list(pts.values()))) if pts else np.zeros(0, np.int64)
+    vals = np.zeros((len(blocks), len(union)), dtype=np.int64)
+    for bi, block in enumerate(blocks):
         for h in block:
-            acc += term_rows[order[h]]
-        out[bi] = acc % p
-    return out
+            vals[bi, np.searchsorted(union, pts[h])] += d.terms[h]
+    return union, vals % space.field.p
 
 
-def build_adjacency(d: Decomposition, partition: HyperplanePartition,
-                    term_rows: Optional[np.ndarray] = None) -> AdjacencyWitnessGraph:
+def build_adjacency(d: Decomposition, partition: HyperplanePartition) -> AdjacencyWitnessGraph:
     """Edges between blocks witnessed by a hole of c that is a real point of
-    exactly those two blocks' partial combinations and a hole of all others."""
-    union = set()
-    for h in d.terms:
-        union.update(d.space.hyperplane_point_indices(h).tolist())
+    exactly those two blocks' partial combinations and a hole of all others.
+    Each edge keeps its lowest-index witness."""
     if partition.size != 0 and set().union(*partition.blocks) != set(d.terms):
         raise ValueError("partition does not cover the decomposition's hyperplanes")
-    if partition.size > 62:
-        raise ValueError("too many blocks for the bitmask encoding")
 
-    vals = _block_values(d, partition, term_rows)
-    cvals = vals.astype(np.int64).sum(axis=0) % d.space.field.p
+    union, vals = _union_values(d, partition.blocks)
     nz = vals != 0
-    nz_count = nz.sum(axis=0)
-    mask = (cvals == 0) & (nz_count == 2)
-    pts = np.nonzero(mask)[0]
-    if len(pts) == 0:
-        return AdjacencyWitnessGraph(partition.size, ())
-    bits = (nz[:, pts].astype(np.int64)
-            * (1 << np.arange(partition.size, dtype=np.int64))[:, None]).sum(axis=0)
-    uniq, first = np.unique(bits, return_index=True)
-    edges = []
-    for code, fi in zip(uniq, first):
-        members = [b for b in range(partition.size) if (int(code) >> b) & 1]
-        edges.append((members[0], members[1], int(pts[fi])))
-    edges.sort()
-    return AdjacencyWitnessGraph(partition.size, tuple(edges))
+    mask = (vals.sum(axis=0) % d.space.field.p == 0) & (nz.sum(axis=0) == 2)
+    cols = np.nonzero(mask)[0]
+    # the two blocks nonzero at each witness column, lower block first
+    pairs = np.nonzero(nz[:, cols].T)[1].reshape(-1, 2)
+    _, first = np.unique(pairs[:, 0] * partition.size + pairs[:, 1], return_index=True)
+    edges = tuple((int(pairs[k, 0]), int(pairs[k, 1]), int(union[cols[k]])) for k in first)
+    return AdjacencyWitnessGraph(partition.size, edges)
 
 
 def _merge_components(partition: HyperplanePartition,
@@ -338,11 +321,10 @@ def _merge_components(partition: HyperplanePartition,
 def refine_to_fixpoint(d: Decomposition
                        ) -> tuple[HyperplanePartition, list[HyperplanePartition]]:
     """Iterate component merging from the singleton partition to a fixpoint."""
-    term_rows = _term_rows(d)
     current = _make_partition([{h} for h in d.terms], 0)
     history = [current]
     while True:
-        graph = build_adjacency(d, current, term_rows)
+        graph = build_adjacency(d, current)
         merged = _merge_components(current, graph)
         if merged.blocks == current.blocks:
             return current, history
@@ -352,10 +334,9 @@ def refine_to_fixpoint(d: Decomposition
 
 def exceptional_holes(d: Decomposition, fixpoint: HyperplanePartition) -> tuple[int, ...]:
     """Holes of c at which some fixpoint block's partial combination is nonzero."""
-    vals = _block_values(d, fixpoint)
-    cvals = vals.astype(np.int64).sum(axis=0) % d.space.field.p
-    mask = (cvals == 0) & (vals != 0).any(axis=0)
-    return tuple(int(i) for i in np.nonzero(mask)[0])
+    union, vals = _union_values(d, fixpoint.blocks)
+    mask = (vals.sum(axis=0) % d.space.field.p == 0) & (vals != 0).any(axis=0)
+    return tuple(int(i) for i in union[mask])
 
 
 def build_witness(d: Decomposition, fixpoint: HyperplanePartition,
@@ -368,27 +349,24 @@ def build_witness(d: Decomposition, fixpoint: HyperplanePartition,
         raise ValueError(f"witness construction needs r <= blocks - 2 (r={r}, blocks={nblocks})")
     space = d.space
     p = space.field.p
-    vals = _block_values(d, fixpoint)
-    rows = [[int(vals[b, pt]) for b in range(nblocks)] for pt in sorted(holes)]
-    basis = nullspace(matrix_mod_p(p, rows, cols=nblocks))
-    chosen = None
-    for vec in basis:
-        if len(set(vec)) > 1:  # not proportional to the all-ones vector
-            chosen = vec
-            break
+    union, vals = _union_values(d, fixpoint.blocks)
+    # a hole off U would only add a zero equation
+    on_union = np.isin(union, np.asarray(holes, dtype=np.int64))
+    basis = nullspace(vals[:, on_union].T, p, nblocks)
+    # the first basis vector not proportional to the all-ones vector
+    chosen = next((vec for vec in basis if len(set(vec)) > 1), None)
     if chosen is None:
         raise RuntimeError("null space contained no vector independent of all-ones")
-    acc = np.zeros(space.num_points, dtype=np.int64)
-    for b in range(nblocks):
-        acc += int(chosen[b]) * vals[b].astype(np.int64)
-    witness = Codeword(space, acc % p)
+    w = (np.asarray(chosen, dtype=np.int64) @ vals) % p
 
-    cvals = vals.astype(np.int64).sum(axis=0) % p
-    if np.any((witness.values != 0) & (cvals == 0)):
+    cvals = vals.sum(axis=0) % p
+    if np.any((w != 0) & (cvals == 0)):
         raise RuntimeError("witness support escapes supp(c)")
-    if _is_scalar_multiple(witness.values, cvals, p):
+    if _is_scalar_multiple(w, cvals, p):
         raise RuntimeError("witness degenerated to a scalar multiple of c")
-    return witness
+    values = np.zeros(space.num_points, dtype=np.int64)
+    values[union] = w
+    return Codeword(space, values)
 
 
 def _is_scalar_multiple(a: np.ndarray, b: np.ndarray, p: int) -> bool:
@@ -421,16 +399,10 @@ def oracle_minimal(d: Decomposition, cap: int = DEFAULT_ORACLE_CAP,
     wt_c = 0
     flags = []
     if m:
-        union = sorted(set().union(
-            *(space.hyperplane_point_indices(h).tolist() for h in d.terms)))
-        union = np.asarray(union, dtype=np.int64)
-        indicator = np.zeros((m, len(union)), dtype=np.int64)
-        pos = {int(u): k for k, u in enumerate(union)}
-        for r, h in enumerate(d.terms):
-            for pt in space.hyperplane_point_indices(h):
-                indicator[r, pos[int(pt)]] = 1
+        _, term_matrix = _union_values(d, [{h} for h in d.terms])
+        indicator = (term_matrix != 0).astype(np.int64)
         coef = np.array(list(d.terms.values()), dtype=np.int64)
-        c_on_union = (coef @ indicator) % p
+        c_on_union = term_matrix.sum(axis=0) % p
         hole_cols = np.nonzero(c_on_union == 0)[0]
         wt_c = int(np.count_nonzero(c_on_union))
         scalar_rows = {tuple((lam * coef) % p) for lam in range(p)}

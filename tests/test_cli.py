@@ -76,6 +76,17 @@ def test_analyze_dual_coordinate_terms(tmp_path, capsys):
     assert json.loads(out)["weight"] == 33
 
 
+@pytest.mark.parametrize("terms", [[[99999999, 1]], [[-3, 1]], [[[0, -1, 5], 1]]])
+def test_analyze_rejects_out_of_range_terms(tmp_path, capsys, terms):
+    """Bad indices and coordinates end in an error and exit 1, not a
+    traceback or a silently wrapped hyperplane."""
+    spec = {"n": 2, "p": 5, "h": 3, "terms": terms}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["analyze", str(path), "--decompose", "--minimality"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_analyze_empty_terms_degenerate(tmp_path, capsys):
     spec = {"n": 2, "p": 2, "h": 5, "terms": []}
     path = tmp_path / "spec.json"

@@ -56,6 +56,15 @@ def test_normalization_idempotent(spaces):
         assert sp.normalize(once) == once
 
 
+def test_point_index_rejects_out_of_range_coordinates(spaces):
+    sp = spaces(2, 5, 3)
+    for coords in ([0, -1, 5], [1, 125, 0], [0, 0, 1 << 20]):
+        with pytest.raises(ValueError):
+            sp.point_index(coords)
+        with pytest.raises(ValueError):
+            sp.hyperplane_index(coords)
+
+
 def test_normalize_rejects_zero(spaces):
     with pytest.raises(ValueError):
         spaces(2, 5, 1).normalize([0, 0, 0])

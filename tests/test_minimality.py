@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from pgcodes import (BoundContext, Codeword, NoDecompositionError, combine,
-                     decompose, incidence_codeword, oracle_minimal,
-                     p2_fixtures, refine_to_fixpoint, szonyi_example, verdict,
-                     weight)
+                     decompose, incidence_codeword, nullspace, oracle_minimal,
+                     p2_fixtures, partial_combination, refine_to_fixpoint,
+                     szonyi_example, verdict, weight)
 from pgcodes.minimality import (VERDICT_MINIMAL, VERDICT_NOT_MINIMAL,
                                 VERDICT_UNDETERMINED, OracleCapExceededError,
                                 _is_scalar_multiple, build_adjacency,
@@ -173,15 +173,104 @@ def test_adjacency_witnesses_recheck(spaces):
     sp = spaces(2, 5, 3)
     cw, _ = szonyi_example(sp)
     d = decompose(cw)
-    from pgcodes.minimality import _block_values, _make_partition
+    from pgcodes.minimality import _make_partition
     part = _make_partition([{h} for h in d.terms], 0)
     graph = build_adjacency(d, part)
-    vals = _block_values(d, part)
+    vals = _dense_block_values(d, part)
     for bi, bj, pt in graph.edges:
         assert cw.values[pt] == 0
         assert vals[bi, pt] != 0 and vals[bj, pt] != 0
         others = [b for b in range(part.size) if b not in (bi, bj)]
         assert all(vals[b, pt] == 0 for b in others)
+
+
+def _dense_block_values(d, partition):
+    """Each block's partial combination over every point of the space."""
+    return np.array([partial_combination(d, b).values for b in partition.blocks],
+                    dtype=np.int64)
+
+
+def _dense_adjacency(d, partition):
+    p = d.space.field.p
+    vals = _dense_block_values(d, partition)
+    nz = vals != 0
+    hole = vals.sum(axis=0) % p == 0
+    edges = {}
+    for pt in np.nonzero(hole & (nz.sum(axis=0) == 2))[0]:
+        a, b = np.nonzero(nz[:, pt])[0]
+        edges.setdefault((int(a), int(b)), int(pt))
+    return tuple(sorted((a, b, pt) for (a, b), pt in edges.items()))
+
+
+def _dense_witness(d, fix, holes):
+    p = d.space.field.p
+    vals = _dense_block_values(d, fix)
+    basis = nullspace([vals[:, pt] for pt in holes], p, fix.size)
+    chosen = next(v for v in basis if len(set(v)) > 1)
+    return (np.asarray(chosen, dtype=np.int64) @ vals) % p
+
+
+def _check_against_dense(d):
+    """Adjacency at every generation, holes and witness agree with a dense
+    recomputation from partial_combination; returns whether a witness ran."""
+    p = d.space.field.p
+    fix, history = refine_to_fixpoint(d)
+    for part in history:
+        assert build_adjacency(d, part).edges == _dense_adjacency(d, part)
+    vals = _dense_block_values(d, fix)
+    dense_holes = np.nonzero((vals.sum(axis=0) % p == 0) & (vals != 0).any(axis=0))[0]
+    holes = exceptional_holes(d, fix)
+    assert holes == tuple(int(i) for i in dense_holes)
+    if fix.size < 2 or len(holes) > fix.size - 2:
+        return False
+    expected = _dense_witness(d, fix, holes)
+    assert np.array_equal(build_witness(d, fix, holes).values, expected)
+    if len(holes) < fix.size - 2:
+        # a hole off the union of the term hyperplanes adds no equation
+        on_union = np.zeros(d.space.num_points, dtype=bool)
+        for h in d.terms:
+            on_union[d.space.hyperplane_point_indices(h)] = True
+        off = int(np.argmin(on_union))
+        assert np.array_equal(build_witness(d, fix, holes + (off,)).values, expected)
+    return True
+
+
+def test_union_pipeline_matches_dense_recomputation(spaces):
+    """Seeded differential check of the union-restricted pipeline."""
+    rng = np.random.default_rng(44)
+    for key, js in (((2, 2, 5), (2, 3, 5)), ((2, 5, 3), (2, 3, 4, 6, 8)),
+                    ((3, 2, 6), (2, 3))):
+        sp = spaces(*key)
+        witnessed = 0
+        for j in js:
+            _, d = random_combination(sp, j, rng)
+            witnessed += _check_against_dense(d)
+        # three hyperplanes through a common point a (a common line in PG(3,q)).
+        # p = 2: same sign, so no holes at all.  Odd p: coefficients 1, 1, p-2
+        # vanish at a, and a fourth hyperplane misses a, so a is an
+        # exceptional hole on three of four singleton blocks.
+        a = sp.point_index([1] + [0] * sp.n)
+        through = np.sort(sp.pencil_indices(a))
+        if sp.n > 2:
+            b = sp.point_index([0, 1] + [0] * (sp.n - 1))
+            through = np.intersect1d(through, sp.pencil_indices(b))
+        terms = [(int(through[0]), 1), (int(through[1]), 1)]
+        if sp.field.p == 2:
+            terms.append((int(through[2]), 1))
+        else:
+            terms += [(int(through[2]), sp.field.p - 2),
+                      (sp.hyperplane_index([1] + [0] * sp.n), 1)]
+        _, d = combine(sp, terms)
+        witnessed += _check_against_dense(d)
+        assert witnessed >= 1, key
+
+    # 70 singleton blocks: refinement puts no cap on the block count
+    sp = spaces(2, 5, 3)
+    _, d = random_combination(sp, 70, np.random.default_rng(70))
+    fix, history = refine_to_fixpoint(d)
+    assert history[0].size == 70
+    assert build_adjacency(d, history[0]).edges == _dense_adjacency(d, history[0])
+    assert sorted(set().union(*fix.blocks)) == sorted(d.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +310,6 @@ def test_build_witness_two_blocks_no_holes(spaces):
     w = build_witness(d, fix, [])
     _assert_witness_valid(w, cw)
     # with r = 0 the chosen solution (1, 0) picks out one block's combination
-    from pgcodes.codes import partial_combination
     assert w == partial_combination(d, [3]) or w == partial_combination(d, [11])
 
 
