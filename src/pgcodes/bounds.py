@@ -11,6 +11,7 @@ never a float.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -20,7 +21,7 @@ import numpy as np
 
 from .ff import is_prime
 from .codes import Codeword, restricted_weight, support
-from .geometry import SubspacePointSet, _f_matmul
+from .geometry import SubspacePointSet, _chunk_slices
 
 
 def theta(m: int, q: int) -> int:
@@ -140,11 +141,11 @@ class SecantSpectrum:
                               for s in sorted(self.histogram) if self.histogram[s]]}
 
 
-def _spectrum_plane(c: Codeword) -> dict[int, int]:
-    sp = c.space
+def _spectrum_plane(sp, supp: np.ndarray) -> dict[int, int]:
+    """Histogram over every line of the plane, from the pencils of the support."""
     counts = np.zeros(sp.num_hyperplanes, dtype=np.int64)
-    for pidx in support(c):
-        counts[sp.pencil_indices(int(pidx))] += 1
+    for sl in _chunk_slices(len(supp), sp.q + 1):
+        np.add.at(counts, sp._orthogonal_indices(2, supp[sl]), 1)
     hist = np.bincount(counts)
     return {int(s): int(k) for s, k in enumerate(hist) if k}
 
@@ -157,16 +158,10 @@ def _spectrum_general_range(c: Codeword, supp: np.ndarray, lo: int, hi: int) -> 
     line through the anchor, its number of further support points.
     """
     sp = c.space
-    enum_q = sp._get_enum(sp.n - 1)
-    tq = enum_q.size
+    tq = sp.theta(sp.n - 1)
     weighted = np.zeros(sp.q + 2, dtype=np.int64)
-    coords = sp.point_table[supp]
     for a in range(lo, hi):
-        anchor_coords = coords[a]
-        others = np.delete(coords, a, axis=0)
-        b = sp.complement_rows(anchor_coords)
-        y = _f_matmul(sp.field, others, np.ascontiguousarray(b.T))
-        yidx = enum_q.index_rows(enum_q.normalize_rows(y))
+        yidx = sp._project(int(supp[a]), np.delete(supp, a))
         buckets = np.bincount(yidx, minlength=tq)
         local = np.bincount(buckets)
         # bucket size k means a (k+1)-secant through this anchor
@@ -174,33 +169,37 @@ def _spectrum_general_range(c: Codeword, supp: np.ndarray, lo: int, hi: int) -> 
     return weighted
 
 
+def _anchor_ranges(nsup: int, threads: int) -> list[tuple[int, int]]:
+    """Split nsup anchors into one contiguous range per worker thread.
+
+    The pool is capped at os.cpu_count() and at nsup, whatever `threads` asks.
+    """
+    workers = max(1, min(threads, os.cpu_count() or 1, nsup))
+    step = -(-nsup // workers)
+    return [(lo, min(nsup, lo + step)) for lo in range(0, nsup, step)]
+
+
 def secant_spectrum(c: Codeword, max_lines: Optional[int] = None,
                     threads: int = 1) -> SecantSpectrum:
-    """Exact histogram of line-support intersection sizes over all lines."""
+    """Exact histogram of line-support intersection sizes over all lines.
+
+    For n >= 3 the anchors are split over at most `threads` threads (>= 1).
+    """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     sp = c.space
     total = sp.line_count()
     cap = max_lines if max_lines is not None else 50_000_000
     if total > cap:
         raise ValueError(f"line count {total} exceeds the cap of {cap}")
-    if sp.n == 2:
-        hist = _spectrum_plane(c)
-        covered = sum(hist.values())
-        if 0 not in hist and covered < total:
-            hist[0] = total - covered
-        return SecantSpectrum(hist, total)
-
     supp = support(c)
     if len(supp) == 0:
         return SecantSpectrum({0: total}, total)
-    nsup = len(supp)
-    if threads > 1:
-        step = max(1, (nsup + threads - 1) // threads)
-        ranges = [(lo, min(nsup, lo + step)) for lo in range(0, nsup, step)]
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(lambda r: _spectrum_general_range(c, supp, *r), ranges))
-        weighted = sum(parts)
-    else:
-        weighted = _spectrum_general_range(c, supp, 0, nsup)
+    if sp.n == 2:
+        return SecantSpectrum(_spectrum_plane(sp, supp), total)
+    ranges = _anchor_ranges(len(supp), threads)
+    with ThreadPoolExecutor(max_workers=len(ranges)) as ex:
+        weighted = sum(ex.map(lambda r: _spectrum_general_range(c, supp, *r), ranges))
     hist: dict[int, int] = {}
     for s in range(1, len(weighted)):
         if weighted[s]:

@@ -87,19 +87,36 @@ def _space_from_params(n: int, p: int, h: int, cap_points: Optional[int]) -> Pro
     return space_make(n, field_make(p, h), max_points=cap_points)
 
 
+def _spec_int(value, what: str) -> int:
+    """An integer from a spec; bool, float and str are refused, not coerced."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _build_from_spec(spec: dict, cap_points: Optional[int]):
     """Returns (space, codeword, fixture_info) for a codeword spec dict."""
-    n, p, h = int(spec["n"]), int(spec["p"]), int(spec["h"])
+    if not isinstance(spec, dict):
+        raise ValueError("a codeword spec must be a JSON object")
+    n, p, h = (_spec_int(spec[k], k) for k in ("n", "p", "h"))
     space = _space_from_params(n, p, h, cap_points)
     fixture = spec.get("fixture")
     if fixture is None:
+        pairs = spec.get("terms", [])
+        if not (isinstance(pairs, list)
+                and all(isinstance(t, list) and len(t) == 2 for t in pairs)):
+            raise ValueError("terms must be a list of [hyperplane, coefficient] pairs")
         terms = []
-        for hspec, coef in spec.get("terms", []):
-            hidx = space.hyperplane_index(hspec) if isinstance(hspec, list) else int(hspec)
+        for hspec, coef in pairs:
+            if isinstance(hspec, list):
+                hidx = space.hyperplane_index(
+                    [_spec_int(c, "a dual coordinate") for c in hspec])
+            else:
+                hidx = _spec_int(hspec, "a hyperplane index")
             if not 0 <= hidx < space.num_hyperplanes:
                 raise ValueError(f"hyperplane index {hidx} out of range "
                                  f"[0, {space.num_hyperplanes})")
-            terms.append((hidx, int(coef)))
+            terms.append((hidx, _spec_int(coef, "a coefficient")))
         cw, _ = codes.combine(space, terms)
         return space, cw, None
     if fixture == "szonyi":
@@ -107,10 +124,11 @@ def _build_from_spec(spec: dict, cap_points: Optional[int]):
     elif fixture in ("pencil", "no-hole-line"):
         cw, info = minimality.p2_fixtures(space, fixture)
     elif fixture == "random-j":
-        j = int(spec["j"])
-        rng = np.random.default_rng(int(spec.get("seed", 0)))
+        j = _spec_int(spec["j"], "j")
+        seed = _spec_int(spec.get("seed", 0), "seed")
+        rng = np.random.default_rng(seed)
         cw, d = minimality.random_combination(space, j, rng)
-        info = {"terms": d.to_json()["terms"], "seed": int(spec.get("seed", 0))}
+        info = {"terms": d.to_json()["terms"], "seed": seed}
     else:
         raise ValueError(f"unknown fixture {fixture!r}")
     return space, cw, info
@@ -389,6 +407,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ValueError(f"--threads must be >= 1, got {args.threads}")
         return args.func(args)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

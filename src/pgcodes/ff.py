@@ -277,28 +277,18 @@ class Field:
         pw = (p ** np.arange(h)).astype(np.int64)
         self._neg = (((p - digits) % p).astype(np.int64) @ pw).astype(np.int32)
 
-        # exp/log from a multiplicative generator found by direct order check
+        # exp/log from the lowest multiplicative generator: g generates iff
+        # g^((q-1)/r) != 1 for every prime r dividing q - 1
         exp = np.zeros(2 * max(q - 1, 1), dtype=np.int32)
         log = np.zeros(q, dtype=np.int64)
         if q == 2:
             exp[:] = 1
             log[1] = 0
         else:
-            gen = None
-            for g in range(2, q):
-                cur, steps = 1, 0
-                seen_one_at = None
-                while True:
-                    cur = self._scalar_mul_poly(cur, g)
-                    steps += 1
-                    if cur == 1:
-                        seen_one_at = steps
-                        break
-                    if steps > q:
-                        break
-                if seen_one_at == q - 1:
-                    gen = g
-                    break
+            f = list(self.modulus)
+            gen = next((g for g in range(2, q)
+                        if all(_ppowmod(list(self.decode(g)), (q - 1) // r, f, p) != [1]
+                               for r in _prime_factors(q - 1))), None)
             if gen is None:
                 raise RuntimeError("no generator found; modulus is not irreducible?")
             cur = 1

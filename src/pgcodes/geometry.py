@@ -29,7 +29,12 @@ from .ff import Field
 
 DEFAULT_POINT_CAP = 10_000_000
 DEFAULT_LINE_CAP = 5_000_000
-DEFAULT_INCIDENCE_CACHE_BYTES = 2 << 30
+# The quotient pencil table (see `ProjectiveSpace._quotient_rows`) is kept
+# while its int32 entries fit this many bytes: 7.9 MB at PG(3,125), 152 MB
+# at PG(4,32).  Above it the rows are computed on each call.
+QUOTIENT_TABLE_CAP_BYTES = 256 << 20
+# Row blocks of the orthogonality primitive hold at most this many entries.
+_CHUNK_ENTRIES = 1 << 18
 
 
 def _theta_int(m: int, q: int) -> int:
@@ -116,6 +121,13 @@ class _Enumeration:
         return self.table[idx]
 
 
+def _chunk_slices(count: int, row_len: int) -> Iterator[slice]:
+    """Consecutive slices of range(count) whose rows of row_len entries
+    stay within _CHUNK_ENTRIES."""
+    step = max(1, _CHUNK_ENTRIES // row_len)
+    return (slice(s, min(count, s + step)) for s in range(0, count, step))
+
+
 def _f_matmul(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product over GF(q) via lookup-table gathers."""
     mul, add = field.mul_table, field.add_table
@@ -145,8 +157,7 @@ class ProjectiveSpace:
         self._enums: dict[int, _Enumeration] = {}
         self._enum = self._get_enum(n)
         self._hyperplane_points_cache: dict[int, np.ndarray] = {}
-        self._incidence_mats: dict[int, Optional[np.ndarray]] = {}
-        self.incidence_cache_bytes = DEFAULT_INCIDENCE_CACHE_BYTES
+        self._quotient_table: Optional[np.ndarray] = None
 
     # -- basics ---------------------------------------------------------------
 
@@ -207,15 +218,11 @@ class ProjectiveSpace:
             return np.asarray(p.coords, dtype=np.int16)
         return self._enum.coords_of(int(p))
 
-    def _coords_of_hyperplane(self, h: Union[Hyperplane, int]) -> np.ndarray:
-        if isinstance(h, Hyperplane):
-            return np.asarray(h.dual_coords, dtype=np.int16)
-        return self._enum.coords_of(int(h))
-
     def incident(self, p: Union[ProjPoint, int], h: Union[Hyperplane, int]) -> bool:
         """True iff the GF(q) dot product of point and dual vector vanishes."""
         pc = self._coords_of_point(p)
-        hc = self._coords_of_hyperplane(h)
+        hc = (np.asarray(h.dual_coords, dtype=np.int16) if isinstance(h, Hyperplane)
+              else self._enum.coords_of(int(h)))
         f = self.field
         acc = 0
         for a, b in zip(pc, hc):
@@ -224,31 +231,12 @@ class ProjectiveSpace:
 
     # -- complements and spans ----------------------------------------------------
 
-    def complement_rows(self, coords: np.ndarray) -> np.ndarray:
-        """n independent vectors orthogonal to a normalised vector."""
-        n = self.n
-        f = self.field
-        j0 = int(np.argmax(np.asarray(coords) != 0))
-        rows = np.zeros((n, n + 1), dtype=np.int16)
-        r = 0
-        for j in range(n + 1):
-            if j == j0:
-                continue
-            rows[r, j] = 1
-            rows[r, j0] = f.neg(int(coords[j]))
-            r += 1
-        return rows
-
-    def span_rows(self, basis_rows: np.ndarray) -> np.ndarray:
-        """All theta(d) normalised points of the span of d+1 independent rows."""
-        basis_rows = np.ascontiguousarray(basis_rows, dtype=np.int16)
-        d = basis_rows.shape[0] - 1
-        tuples = self._get_enum(d).table
-        raw = _f_matmul(self.field, tuples, basis_rows)
-        return self._enum.normalize_rows(raw)
-
     def span_indices(self, basis_rows: np.ndarray) -> np.ndarray:
-        return self._enum.index_rows(self.span_rows(basis_rows))
+        """Indices of all theta(d) points of the span of d+1 independent rows."""
+        basis_rows = np.ascontiguousarray(basis_rows, dtype=np.int16)
+        tuples = self._get_enum(basis_rows.shape[0] - 1).table
+        raw = _f_matmul(self.field, tuples, basis_rows)
+        return self._enum.index_rows(self._enum.normalize_rows(raw))
 
     def _rank(self, rows: Sequence[Sequence[int]]) -> int:
         f = self.field
@@ -282,14 +270,39 @@ class ProjectiveSpace:
 
     # -- hyperplanes ---------------------------------------------------------------
 
+    def _orthogonal_indices(self, dim: int, ys) -> np.ndarray:
+        """For point indices ys of PG(dim, q), a len(ys) x theta(dim-1) array
+        whose row i lists the points x with x . y_i = 0.
+
+        By duality a row is both the points on hyperplane y_i and the
+        hyperplanes through point y_i.  Entry k of row i takes the k-th point
+        of PG(dim-1, q) as its coordinates off the leading position j0 of
+        y_i, and solves x . y_i = 0 for coordinate j0.  The ys are grouped by
+        j0, so each group is one vectorised pass.
+        """
+        enum = self._get_enum(dim)
+        tuples = self._get_enum(dim - 1).table
+        coords = enum.table[np.asarray(ys, dtype=np.int64)]
+        lead = (coords != 0).argmax(axis=1)
+        minus = self.field.mul_table[self.field.p - 1]   # -1 is encoded as p - 1
+        out = np.empty((len(coords), len(tuples)), dtype=np.int64)
+        for j0 in np.unique(lead):
+            sel = np.nonzero(lead == j0)[0]
+            raw = np.empty((len(sel), len(tuples), dim + 1), dtype=np.int16)
+            raw[:, :, np.arange(dim + 1) != j0] = tuples
+            rest = np.delete(coords[sel], j0, axis=1)
+            raw[:, :, j0] = _f_matmul(self.field, minus[rest], np.ascontiguousarray(tuples.T))
+            rows = enum.normalize_rows(raw.reshape(-1, dim + 1))
+            out[sel] = enum.index_rows(rows).reshape(len(sel), -1)
+        return out
+
     def hyperplane_point_indices(self, h: Union[Hyperplane, int]) -> np.ndarray:
         """Indices of the theta(n-1) points on a hyperplane (enumeration order)."""
         key = h.index if isinstance(h, Hyperplane) else int(h)
         cached = self._hyperplane_points_cache.get(key)
         if cached is not None:
             return cached
-        rows = self.complement_rows(self._coords_of_hyperplane(h))
-        idx = self.span_indices(rows)
+        idx = self._orthogonal_indices(self.n, [key])[0]
         if len(self._hyperplane_points_cache) < 256:
             idx.setflags(write=False)
             self._hyperplane_points_cache[key] = idx
@@ -297,8 +310,46 @@ class ProjectiveSpace:
 
     def pencil_indices(self, p: Union[ProjPoint, int]) -> np.ndarray:
         """Indices of the theta(n-1) hyperplanes through a point (enum order)."""
-        rows = self.complement_rows(self._coords_of_point(p))
-        return self.span_indices(rows)
+        key = p.index if isinstance(p, ProjPoint) else int(p)
+        return self._orthogonal_indices(self.n, [key])[0]
+
+    # -- the quotient at a point ------------------------------------------------
+
+    def _project(self, anchor: int, others: np.ndarray) -> np.ndarray:
+        """Indices in the quotient PG(n-1, q) of the lines joining a point a
+        to each of the points `others`.
+
+        With j0 the leading position of a, the image y of x has coordinates
+        x_j - a_j x_j0 for j != j0.  So x lies on the hyperplane through a at
+        position t of pencil_indices(a) iff t . y = 0.
+        """
+        f = self.field
+        a, x = self.point_table[anchor], self.point_table[others]
+        j0 = int(np.argmax(a != 0))
+        off = np.arange(self.n + 1) != j0
+        minus_a = f.mul_table[f.p - 1][a[off]]          # -1 is encoded as p - 1
+        y = f.add_table[x[:, off], f.mul_table[x[:, j0:j0 + 1], minus_a[None, :]]]
+        enum_q = self._get_enum(self.n - 1)
+        return enum_q.index_rows(enum_q.normalize_rows(y))
+
+    def _quotient_rows(self, ys: np.ndarray) -> np.ndarray:
+        """`_orthogonal_indices` over the quotient PG(n-1, q) for the ys.
+
+        The whole table of rows is built on first use and cached while it
+        fits QUOTIENT_TABLE_CAP_BYTES; above the cap the rows of the ys are
+        computed on each call.  Callers pass ys in `_chunk_slices` blocks.
+        """
+        d = self.n - 1
+        tq, width = self.theta(d), self.theta(d - 1)
+        if self._quotient_table is None and 4 * tq * width <= QUOTIENT_TABLE_CAP_BYTES:
+            table = np.empty((tq, width), dtype=np.int32)
+            for sl in _chunk_slices(tq, width):
+                table[sl] = self._orthogonal_indices(d, np.arange(sl.start, sl.stop))
+            table.setflags(write=False)
+            self._quotient_table = table
+        if self._quotient_table is not None:
+            return self._quotient_table[ys]
+        return self._orthogonal_indices(d, ys)
 
     def hyperplanes_through(self, p: Union[ProjPoint, int]) -> list[Hyperplane]:
         idx = np.sort(self.pencil_indices(p))
@@ -337,50 +388,13 @@ class ProjectiveSpace:
         reps = self._get_enum(self.n - 1).table
         for i in range(self.num_points):
             pc = self._enum.coords_of(i)
-            j0 = int(np.argmax(np.asarray(pc) != 0))
-            basis = np.zeros((self.n, self.n + 1), dtype=np.int16)
-            r = 0
-            for j in range(self.n + 1):
-                if j == j0:
-                    continue
-                basis[r, j] = 1
-                r += 1
-            dirs = _f_matmul(self.field, reps, basis)
+            # directions: the points of PG(n-1, q) with a 0 inserted at pc's leading 1
+            dirs = np.insert(reps, int(np.argmax(pc != 0)), 0, axis=1)
             for d in range(dirs.shape[0]):
                 idx = np.sort(self.span_indices(np.vstack([pc, dirs[d]])))
                 if int(idx[0]) == i:
                     yield ProjLine((int(idx[0]), int(idx[1])),
                                    tuple(int(v) for v in idx))
-
-    # -- cached incidence matrices -------------------------------------------------
-
-    def incidence_matrix(self, dim: int) -> Optional[np.ndarray]:
-        """0/1 matrix M[i, j] = [tuple_i . tuple_j == 0] over PG(dim, q).
-
-        Used as a dual-transform kernel; returns None when the matrix would
-        exceed the cache budget (callers fall back to direct scans).
-        """
-        if dim in self._incidence_mats:
-            return self._incidence_mats[dim]
-        enum = self._get_enum(dim)
-        t = enum.size
-        if 4 * t * t > self.incidence_cache_bytes:
-            self._incidence_mats[dim] = None
-            return None
-        table = enum.table
-        mul, add = self.field.mul_table, self.field.add_table
-        out = np.empty((t, t), dtype=np.float32)
-        chunk = max(1, (1 << 24) // max(t, 1))
-        for start in range(0, t, chunk):
-            stop = min(t, start + chunk)
-            acc = None
-            for c in range(dim + 1):
-                term = mul[table[start:stop, c][:, None], table[:, c][None, :]]
-                acc = term if acc is None else add[acc, term]
-            out[start:stop] = (acc == 0)
-        out.setflags(write=False)
-        self._incidence_mats[dim] = out
-        return out
 
     def __repr__(self):
         return f"ProjectiveSpace(n={self.n}, q={self.q}, points={self.num_points})"

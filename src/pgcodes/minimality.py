@@ -22,7 +22,7 @@ from . import bounds
 from .bounds import BoundContext
 from .codes import Codeword, Decomposition, combine, weight
 from .ff import nullspace
-from .geometry import ProjectiveSpace, _f_matmul
+from .geometry import ProjectiveSpace, _chunk_slices
 
 DEFAULT_ORACLE_CAP = 100_000_000
 
@@ -118,53 +118,26 @@ def _pencil_counts(space: ProjectiveSpace, residual: np.ndarray,
                    supp: np.ndarray, anchor_pos: int):
     """Counts of same-valued support points on every hyperplane through an anchor.
 
-    Hyperplanes through the anchor are parameterised by the canonical points
-    of PG(n-1, q); the other support points land on quotient points, and one
-    dual-incidence transform turns the (quotient point, value) histogram into
-    per-hyperplane counts.  Returns (counts[t, alpha-1], hyperplane index per t).
+    The hyperplanes through the anchor are listed by pencil_indices(anchor),
+    whose position t is a point of the quotient PG(n-1, q).  Every other
+    support point projects to a quotient point y and lies on hyperplane t
+    iff t . y = 0, so scattering the (quotient point, value) histogram
+    through the quotient rows of the nonzero y gives per-hyperplane counts.
+    Returns (counts[t, alpha-1], hyperplane index per t).
     """
-    f = space.field
-    p = f.p
-    n = space.n
-    enum_q = space._get_enum(n - 1)
-    tq = enum_q.size
-
+    p = space.field.p
     anchor = int(supp[anchor_pos])
-    anchor_coords = space.point_table[anchor]
-    b = space.complement_rows(anchor_coords)
-
-    cand_rows = space.span_rows(b)                       # theta(n-1) x (n+1)
-    cand_idx = space._enum.index_rows(cand_rows)
-
+    cand_idx = space.pencil_indices(anchor)
     others = np.delete(supp, anchor_pos)
-    if len(others):
-        y = _f_matmul(f, space.point_table[others], np.ascontiguousarray(b.T))
-        yidx = enum_q.index_rows(enum_q.normalize_rows(y))
-        vals = residual[others].astype(np.int64)
-        codes_flat = yidx * (p - 1) + (vals - 1)
-        w = np.bincount(codes_flat, minlength=tq * (p - 1)).reshape(tq, p - 1)
-    else:
-        w = np.zeros((tq, p - 1), dtype=np.int64)
-
-    inc = space.incidence_matrix(n - 1)
-    if inc is not None:
-        counts = np.rint(inc @ w.astype(np.float32)).astype(np.int64)
-    else:
-        # fallback: direct dots candidate x support, chunked
-        counts = np.zeros((tq, p - 1), dtype=np.int64)
-        if len(others):
-            oc = space.point_table[others]
-            vals = residual[others].astype(np.int64)
-            chunk = max(1, (1 << 22) // max(len(others), 1))
-            for start in range(0, tq, chunk):
-                stop = min(tq, start + chunk)
-                acc = None
-                for k in range(n + 1):
-                    term = f.mul_table[cand_rows[start:stop, k][:, None], oc[:, k][None, :]]
-                    acc = term if acc is None else f.add_table[acc, term]
-                hits = acc == 0
-                for alpha in range(1, p):
-                    counts[start:stop, alpha - 1] = (hits & (vals == alpha)[None, :]).sum(axis=1)
+    codes = space._project(anchor, others) * (p - 1) + residual[others].astype(np.int64) - 1
+    hist = np.bincount(codes, minlength=len(cand_idx) * (p - 1)).reshape(-1, p - 1)
+    ys, alphas = np.nonzero(hist)
+    width = space.theta(space.n - 2)
+    counts = np.zeros(hist.size, dtype=np.int64)
+    for sl in _chunk_slices(len(ys), width):
+        cells = np.multiply(space._quotient_rows(ys[sl]), p - 1, dtype=np.int64) + alphas[sl, None]
+        np.add.at(counts, cells.ravel(), np.repeat(hist[ys[sl], alphas[sl]], width))
+    counts = counts.reshape(hist.shape)
     counts[:, int(residual[anchor]) - 1] += 1            # anchor lies on every candidate
     return counts, cand_idx
 

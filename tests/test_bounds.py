@@ -8,7 +8,8 @@ import pytest
 from pgcodes import (BoundContext, Classification, classify, combine, delta,
                      incidence_codeword, max_thin_secant, secant_spectrum,
                      theta, thick_bound_U, weight, weight_bound_W)
-from pgcodes.bounds import context_for, regime_flags
+from pgcodes import bounds
+from pgcodes.bounds import _anchor_ranges, context_for, regime_flags
 from pgcodes.minimality import random_combination
 
 
@@ -158,17 +159,19 @@ def test_spectrum_single_line(spaces):
 
 
 def test_spectrum_against_line_scan_oracle(spaces):
-    """Independent oracle: intersect every enumerated line with the support."""
-    sp = spaces(2, 3, 2)  # q = 9, 91 lines
-    rng = np.random.default_rng(9)
-    cw, _ = random_combination(sp, 3, rng)
-    supp = set(np.nonzero(cw.values)[0].tolist())
-    oracle = {}
-    for ln in sp.lines_of():
-        s = len(supp & set(ln.point_set))
-        oracle[s] = oracle.get(s, 0) + 1
-    spec = secant_spectrum(cw)
-    assert spec.histogram == oracle
+    """Independent oracle: intersect every enumerated line with the support.
+    Planes of order 9, 32 and 25 (91, 1057 and 651 lines)."""
+    for key, j in (((2, 3, 2), 3), ((2, 2, 5), 4), ((2, 5, 2), 3)):
+        sp = spaces(*key)
+        rng = np.random.default_rng(9)
+        cw, _ = random_combination(sp, j, rng)
+        supp = set(np.nonzero(cw.values)[0].tolist())
+        oracle = {}
+        for ln in sp.lines_of():
+            s = len(supp & set(ln.point_set))
+            oracle[s] = oracle.get(s, 0) + 1
+        spec = secant_spectrum(cw)
+        assert spec.histogram == oracle, key
 
 
 def test_spectrum_general_dimension_against_line_scan(spaces):
@@ -185,6 +188,24 @@ def test_spectrum_general_dimension_against_line_scan(spaces):
     # threaded scan is deterministic and identical
     spec2 = secant_spectrum(cw, threads=3)
     assert spec2.histogram == spec.histogram
+
+
+def test_spectrum_threads_are_bounded(spaces, monkeypatch):
+    """Fewer than one thread is an error; the pool never exceeds the CPU
+    count or the number of anchors.  The ranges come from a pure helper, so
+    no thread is started here."""
+    cw = incidence_codeword(spaces(3, 2, 2), 0)
+    for bad in (0, -5):
+        with pytest.raises(ValueError):
+            secant_spectrum(cw, threads=bad)
+    monkeypatch.setattr(bounds.os, "cpu_count", lambda: 4)
+    assert _anchor_ranges(8192, 100000) == [(0, 2048), (2048, 4096),
+                                            (4096, 6144), (6144, 8192)]
+    assert _anchor_ranges(10, 3) == [(0, 4), (4, 8), (8, 10)]
+    assert _anchor_ranges(2, 8) == [(0, 1), (1, 2)]
+    assert _anchor_ranges(10, 1) == [(0, 10)]
+    monkeypatch.setattr(bounds.os, "cpu_count", lambda: None)
+    assert _anchor_ranges(10, 3) == [(0, 10)]
 
 
 def test_secant_gap_and_dichotomy_q32(spaces):

@@ -76,14 +76,43 @@ def test_analyze_dual_coordinate_terms(tmp_path, capsys):
     assert json.loads(out)["weight"] == 33
 
 
-@pytest.mark.parametrize("terms", [[[99999999, 1]], [[-3, 1]], [[[0, -1, 5], 1]]])
+@pytest.mark.parametrize("terms", [[[99999999, 1]], [[-3, 1]], [[[0, -1, 5], 1]],
+                                   [[0, 1.7]], [[3.9, 1]], [[[0, 1.5, 0], 1]],
+                                   [[True, 1]], [["3", 1]], [5], [[0, 1, 2]]])
 def test_analyze_rejects_out_of_range_terms(tmp_path, capsys, terms):
-    """Bad indices and coordinates end in an error and exit 1, not a
-    traceback or a silently wrapped hyperplane."""
+    """Bad or non-integer indices, coordinates and coefficients, and malformed
+    terms, end in an error and exit 1, not a traceback, a truncated value or
+    a silently wrapped hyperplane."""
     spec = {"n": 2, "p": 5, "h": 3, "terms": terms}
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     assert main(["analyze", str(path), "--decompose", "--minimality"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("spec", [
+    {"n": 2, "p": 5, "h": True, "terms": [[0, 1]]},
+    {"n": 2.0, "p": 5, "h": 3, "terms": [[0, 1]]},
+    {"n": 2, "p": "5", "h": 3, "terms": [[0, 1]]},
+    {"n": 2, "p": 5, "h": 3, "terms": 5},
+    {"n": 2, "p": 5, "h": 3, "fixture": "random-j", "j": 2.5, "seed": 1},
+    {"n": 2, "p": 5, "h": 3, "fixture": "random-j", "j": 2, "seed": False},
+    [[0, 1]],
+])
+def test_analyze_rejects_malformed_specs(tmp_path, capsys, spec):
+    """A spec that is not an object, or whose n, p, h, terms, j or seed is
+    not of the expected type, ends in an error and exit 1."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["analyze", str(path), "--decompose"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_threads_below_one_is_an_error(tmp_path, capsys):
+    spec = {"n": 3, "p": 2, "h": 2, "terms": [[0, 1]]}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["analyze", str(path), "--spectrum", "--threads", "0"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
 
 

@@ -1,5 +1,7 @@
 """Field arithmetic and mod-p linear algebra."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,25 @@ def test_gf125_multiplicative_order():
     f = field_make(5, 3)
     for a in (1, 2, 17, 93, 124):
         assert f.pow_(a, 124) == 1
+
+
+def test_generator_is_lowest_primitive_element():
+    """For every field with q <= 256, exp[1] is the smallest element of
+    multiplicative order q - 1, found by walking each element's powers."""
+    for q in range(2, 257):
+        p = next(d for d in range(2, q + 1) if q % d == 0)
+        h = round(math.log(q, p))
+        if p ** h != q:
+            continue
+        f = field_make(p, h)
+
+        def order(g):
+            k, cur = 1, g
+            while cur != 1:
+                cur, k = f.mul(cur, g), k + 1
+            return k
+
+        assert int(f._exp[1]) == next(g for g in range(1, q) if order(g) == q - 1), q
 
 
 def test_gf32_inverses_exhaustive_with_search_oracle():

@@ -100,6 +100,30 @@ def test_hyperplanes_through_counts(spaces):
         assert len(sp32.pencil_indices(int(pt))) == 1057  # theta_2(32)
 
 
+@pytest.mark.parametrize("key", [(2, 5, 3), (3, 2, 5), (4, 2, 2)])
+def test_orthogonal_rows_against_dot_products(spaces, key):
+    """Each row of the primitive is exactly the zero set of the GF(q) dot
+    product with its point, and is the array hyperplane_point_indices and
+    pencil_indices return."""
+    sp = spaces(*key)
+    f = sp.field
+    rng = np.random.default_rng(44)
+    ys = np.concatenate([[0, sp.num_points - 1],
+                         rng.choice(sp.num_points, size=10, replace=False)])
+    rows = sp._orthogonal_indices(sp.n, ys)
+    assert rows.shape == (len(ys), theta(sp.n - 1, sp.q))
+    table = sp.point_table
+    for y, row in zip(ys, rows):
+        dots = np.zeros(sp.num_points, dtype=np.int64)
+        for k in range(sp.n + 1):
+            dots = f.add_table[dots, f.mul_table[table[:, k], table[y, k]]]
+        assert np.array_equal(np.sort(row), np.nonzero(dots == 0)[0])
+        assert np.array_equal(row, sp.hyperplane_point_indices(int(y)))
+        assert np.array_equal(row, sp.pencil_indices(int(y)))
+    yq = rng.choice(theta(sp.n - 1, sp.q), size=10, replace=False)
+    assert np.array_equal(sp._quotient_rows(yq), sp._orthogonal_indices(sp.n - 1, yq))
+
+
 def test_point_and_pencil_duality(spaces):
     """Each hyperplane carries theta(n-1) points, each point theta(n-1)
     hyperplanes, and q * theta(n-1) + 1 = theta(n)."""

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from pgcodes import geometry
 from pgcodes import (BoundContext, Codeword, NoDecompositionError, combine,
                      decompose, incidence_codeword, nullspace, oracle_minimal,
                      p2_fixtures, partial_combination, refine_to_fixpoint,
-                     szonyi_example, verdict, weight)
+                     space_make, szonyi_example, verdict, weight)
 from pgcodes.minimality import (VERDICT_MINIMAL, VERDICT_NOT_MINIMAL,
                                 VERDICT_UNDETERMINED, OracleCapExceededError,
                                 _is_scalar_multiple, build_adjacency,
@@ -81,15 +82,26 @@ def test_decompose_prime_field_flagged(spaces):
     assert "h=1" in d.flags and "best-effort" in d.flags
 
 
-def test_decompose_without_incidence_cache(fields):
-    """The direct-scan fallback (no cached incidence matrix) agrees."""
-    from pgcodes import space_make
-    sp = space_make(2, fields(5, 3))
-    sp.incidence_cache_bytes = 0
+@pytest.mark.parametrize("key", [(2, 5, 3), (3, 2, 5)])
+def test_decompose_above_quotient_table_cap(spaces, fields, monkeypatch, key):
+    """With the table cap at 0 the quotient rows are computed on each call;
+    the terms match the ground truth and the tie-breaks match the cached
+    table.  A fresh space, since the shared `spaces` fixture keeps its tables."""
+    sp = spaces(*key)
     rng = np.random.default_rng(33)
-    for _ in range(5):
-        cw, d_true = random_combination(sp, 4, rng)
-        assert decompose(cw).terms == d_true.terms
+    cases = [random_combination(sp, j, rng) for j in (1, 2, 3, 4)]
+    pencil = [int(h) for h in np.sort(sp.pencil_indices(0))[[0, 5, 9]]]
+    cases.append(combine(sp, [(h, 1) for h in pencil]))   # a tie at every peel
+    cached = [decompose(cw) for cw, _ in cases]
+    assert any(d.tie_breaks for d in cached)
+
+    monkeypatch.setattr(geometry, "QUOTIENT_TABLE_CAP_BYTES", 0)
+    fresh = space_make(key[0], fields(*key[1:]))
+    for (cw, d_true), d_cached in zip(cases, cached):
+        d = decompose(Codeword(fresh, cw.values))
+        assert d.terms == d_true.terms
+        assert d.tie_breaks == d_cached.tie_breaks
+    assert fresh._quotient_table is None
 
 
 def test_decompose_rejects_non_codeword(spaces):
