@@ -94,11 +94,18 @@ def _spec_int(value, what: str) -> int:
     return value
 
 
+def _spec_key(spec: dict, key: str) -> int:
+    """The integer under a required key of a spec."""
+    if key not in spec:
+        raise ValueError(f"the spec has no {key!r} key")
+    return _spec_int(spec[key], key)
+
+
 def _build_from_spec(spec: dict, cap_points: Optional[int]):
     """Returns (space, codeword, fixture_info) for a codeword spec dict."""
     if not isinstance(spec, dict):
         raise ValueError("a codeword spec must be a JSON object")
-    n, p, h = (_spec_int(spec[k], k) for k in ("n", "p", "h"))
+    n, p, h = (_spec_key(spec, k) for k in ("n", "p", "h"))
     space = _space_from_params(n, p, h, cap_points)
     fixture = spec.get("fixture")
     if fixture is None:
@@ -112,10 +119,8 @@ def _build_from_spec(spec: dict, cap_points: Optional[int]):
                 hidx = space.hyperplane_index(
                     [_spec_int(c, "a dual coordinate") for c in hspec])
             else:
-                hidx = _spec_int(hspec, "a hyperplane index")
-            if not 0 <= hidx < space.num_hyperplanes:
-                raise ValueError(f"hyperplane index {hidx} out of range "
-                                 f"[0, {space.num_hyperplanes})")
+                hidx = codes.checked_index(_spec_int(hspec, "a hyperplane index"),
+                                           space, "hyperplane")
             terms.append((hidx, _spec_int(coef, "a coefficient")))
         cw, _ = codes.combine(space, terms)
         return space, cw, None
@@ -124,7 +129,7 @@ def _build_from_spec(spec: dict, cap_points: Optional[int]):
     elif fixture in ("pencil", "no-hole-line"):
         cw, info = minimality.p2_fixtures(space, fixture)
     elif fixture == "random-j":
-        j = _spec_int(spec["j"], "j")
+        j = _spec_key(spec, "j")
         seed = _spec_int(spec.get("seed", 0), "seed")
         rng = np.random.default_rng(seed)
         cw, d = minimality.random_combination(space, j, rng)

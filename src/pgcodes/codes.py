@@ -66,6 +66,14 @@ class Codeword:
         }
 
 
+def checked_index(i, space: ProjectiveSpace, what: str) -> int:
+    """A point or hyperplane index from outside, refused outside [0, theta(n))."""
+    i = int(i)
+    if not 0 <= i < space.num_points:
+        raise ValueError(f"{what} index {i} out of range [0, {space.num_points})")
+    return i
+
+
 def codeword_from_json(data: Union[dict, str], space: ProjectiveSpace) -> Codeword:
     if isinstance(data, str):
         data = json.loads(data)
@@ -73,7 +81,7 @@ def codeword_from_json(data: Union[dict, str], space: ProjectiveSpace) -> Codewo
         raise ValueError("codeword parameters do not match the supplied space")
     vals = np.zeros(space.num_points, dtype=np.int16)
     for i, v in data["values"]:
-        vals[int(i)] = int(v) % space.field.p
+        vals[checked_index(i, space, "point")] = int(v) % space.field.p
     return Codeword(space, vals)
 
 
@@ -124,7 +132,8 @@ class Decomposition:
 def decomposition_from_json(data: Union[dict, str], space: ProjectiveSpace) -> Decomposition:
     if isinstance(data, str):
         data = json.loads(data)
-    return Decomposition(space, {int(h): int(c) for h, c in data["terms"]})
+    return Decomposition(space, {checked_index(h, space, "hyperplane"): int(c)
+                                 for h, c in data["terms"]})
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,11 @@ as c0 + c1*p + ... + c_{h-1}*p^(h-1).  This serialisation is stable across
 runs, so everything downstream (point indices, reports, fixtures) is
 reproducible bit for bit.
 
-For table-sized fields the module precomputes dense lookup tables
-(exp/log, inverses, and q x q add/mul tables) so that the geometry layer
-can run field arithmetic on whole numpy arrays via gathers.
+There is one representation.  Fields are accepted up to q = MAX_Q = 4096
+and refused above it when constructed.  Every accepted field carries the
+same dense lookup tables (exp, inverses, negatives, and q x q add/mul
+tables), so the geometry layer runs field arithmetic on whole numpy arrays
+via gathers, and each scalar op is one table read.
 """
 
 from __future__ import annotations
@@ -17,11 +19,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-# Full q x q add/mul tables are built up to this size; inverse and exp/log
-# tables up to _INV_TABLE_CAP.  Beyond that, scalar polynomial arithmetic
-# still works but vectorised operations are refused.
-_PAIR_TABLE_CAP = 4096
-_INV_TABLE_CAP = 1 << 16
+# The largest field order accepted; every field gets full q x q tables.
+MAX_Q = 4096
 
 
 def is_prime(n: int) -> bool:
@@ -112,39 +111,6 @@ def _pgcd(a, b, p):
     return a
 
 
-def _poly_inverse(a: Sequence[int], f: Sequence[int], p: int) -> list[int]:
-    """Inverse of a mod f via the extended Euclidean algorithm."""
-    r0, r1 = _ptrim(list(f)), _pmod(a, f, p)
-    if not r1:
-        raise ZeroDivisionError("inverse of zero field element")
-    s0, s1 = [], [1]
-    while r1:
-        # r0 = qt * r1 + r2 computed by long division
-        qt = []
-        rem = list(r0)
-        inv_lead = pow(r1[-1], -1, p)
-        while len(rem) >= len(r1) and rem:
-            shift = len(rem) - len(r1)
-            factor = (rem[-1] * inv_lead) % p
-            while len(qt) <= shift:
-                qt.append(0)
-            qt[shift] = factor
-            for i, ci in enumerate(r1):
-                rem[shift + i] = (rem[shift + i] - factor * ci) % p
-            _ptrim(rem)
-        r0, r1 = r1, rem
-        q_s1 = _pmul(qt, s1, p)
-        new_s = [0] * max(len(s0), len(q_s1))
-        for i in range(len(new_s)):
-            v0 = s0[i] if i < len(s0) else 0
-            v1 = q_s1[i] if i < len(q_s1) else 0
-            new_s[i] = (v0 - v1) % p
-        s0, s1 = s1, _ptrim(new_s)
-    # r0 is now gcd = nonzero constant
-    c_inv = pow(r0[0], -1, p)
-    return _ptrim([(c_inv * ci) % p for ci in s0])
-
-
 def is_irreducible(modulus: Sequence[int], p: int) -> bool:
     """Deterministic irreducibility test for a monic polynomial over F_p.
 
@@ -199,18 +165,25 @@ def lowest_irreducible(p: int, h: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 class Field:
-    """GF(p^h) in the polynomial basis mod a monic irreducible.
+    """GF(p^h), q = p^h <= MAX_Q, in the polynomial basis mod a monic irreducible.
 
-    Elements are integers in [0, q).  Scalar arithmetic is always available;
-    the vectorised entry points (`add_v`, `mul_v`, ...) require the lookup
-    tables and are the workhorses of the geometry layer.
+    Elements are integers in [0, q).  Every field carries the same read-only
+    lookup tables: `add_table` and `mul_table` (q x q int16) and `inv_table`
+    (int32, 0 maps to 0) do arithmetic on whole numpy arrays by gathers, and
+    each scalar op is one read of a table.
     """
 
     def __init__(self, p: int, h: int, modulus: Optional[Sequence[int]] = None):
-        if not is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
         if h < 1:
             raise ValueError("extension degree h must be >= 1")
+        if p < 2:
+            raise ValueError(f"p = {p} is not prime")
+        # constant time for any p and h: with h < 13 and p <= MAX_Q, p^h is small
+        if p > MAX_Q or h >= MAX_Q.bit_length() or p ** h > MAX_Q:
+            raise ValueError(f"GF({p}^{h}) is larger than the largest supported "
+                             f"field, q = {MAX_Q}")
+        if not is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
         self.p = p
         self.h = h
         self.q = p ** h
@@ -222,23 +195,8 @@ class Field:
         if not is_irreducible(modulus, p):
             raise ValueError(f"modulus {modulus} is reducible over F_{p}")
         self.modulus = tuple(modulus)
-        self.zero = 0
-        self.one = 1
-
-        self._digits = None
-        self._exp = None
-        self._log = None
-        self._inv = None
-        self._neg = None
-        self._add = None
-        self._mul = None
-        if self.q <= _INV_TABLE_CAP:
-            self._build_tables()
-            self._spot_check_order()
-            for tbl in (self._digits, self._exp, self._log, self._inv,
-                        self._neg, self._add, self._mul):
-                if tbl is not None:
-                    tbl.setflags(write=False)
+        self._build_tables()
+        self._spot_check_order()
 
     # -- encoding ----------------------------------------------------------
 
@@ -260,70 +218,57 @@ class Field:
 
     # -- table construction --------------------------------------------------
 
-    def _scalar_mul_poly(self, a: int, b: int) -> int:
-        prod = _pmulmod(list(self.decode(a)), list(self.decode(b)),
-                        list(self.modulus), self.p)
-        return self.encode(prod + [0] * (self.h - len(prod)))
-
     def _build_tables(self):
         p, h, q = self.p, self.h, self.q
-        codes = np.arange(q, dtype=np.int64)
-        digits = np.empty((q, h), dtype=np.int16)
-        c = codes.copy()
-        for i in range(h):
-            digits[:, i] = c % p
-            c //= p
-        self._digits = digits
-        pw = (p ** np.arange(h)).astype(np.int64)
-        self._neg = (((p - digits) % p).astype(np.int64) @ pw).astype(np.int32)
+        f = list(self.modulus)
+        # the lowest g with g^((q-1)/r) != 1 for every prime r | q - 1 generates
+        # the multiplicative group (g = 1 when q = 2)
+        factors = _prime_factors(q - 1)
+        gen = next(g for g in range(1, q)
+                   if all(_ppowmod(list(self.decode(g)), (q - 1) // r, f, p) != [1]
+                          for r in factors))
 
-        # exp/log from the lowest multiplicative generator: g generates iff
-        # g^((q-1)/r) != 1 for every prime r dividing q - 1
-        exp = np.zeros(2 * max(q - 1, 1), dtype=np.int32)
+        # exp over two periods, by doubling: exp[k + 2^i] = exp[k] * g^(2^i).
+        # Row j of `step` holds the digits of g^(2^i) * x^j, so a row of digits
+        # times `step` is that product; squaring `step` moves to 2^(i+1).
+        step = np.zeros((h, h), dtype=np.int64)
+        for j in range(h):
+            row = _pmulmod(list(self.decode(gen)), [0] * j + [1], f, p)
+            step[j, :len(row)] = row
+        digits = np.zeros((1, h), dtype=np.int64)
+        digits[0, 0] = 1
+        while len(digits) < 2 * (q - 1):
+            digits = np.vstack([digits, digits @ step % p])
+            step = step @ step % p
+        exp = (digits[:2 * (q - 1)] @ p ** np.arange(h)).astype(np.int32)
         log = np.zeros(q, dtype=np.int64)
-        if q == 2:
-            exp[:] = 1
-            log[1] = 0
-        else:
-            f = list(self.modulus)
-            gen = next((g for g in range(2, q)
-                        if all(_ppowmod(list(self.decode(g)), (q - 1) // r, f, p) != [1]
-                               for r in _prime_factors(q - 1))), None)
-            if gen is None:
-                raise RuntimeError("no generator found; modulus is not irreducible?")
-            cur = 1
-            for k in range(q - 1):
-                exp[k] = cur
-                log[cur] = k
-                cur = self._scalar_mul_poly(cur, gen)
-            exp[q - 1:2 * (q - 1)] = exp[:q - 1]
-        self._exp = exp
-        self._log = log
+        log[exp[:q - 1]] = np.arange(q - 1)
         inv = np.zeros(q, dtype=np.int32)
-        if q == 2:
-            inv[1] = 1
-        else:
-            nz = np.arange(1, q)
-            inv[1:] = exp[(q - 1 - log[nz]) % (q - 1)]
-        self._inv = inv
+        inv[1:] = exp[q - 1 - log[1:]]
 
-        if q <= _PAIR_TABLE_CAP:
-            # mul via exp/log outer sum; zero row/col forced to 0
-            lg = log.copy()
-            mul = np.zeros((q, q), dtype=np.int16)
-            if q > 2:
-                mul[1:, 1:] = exp[(lg[1:, None] + lg[None, 1:]) % (q - 1)].astype(np.int16)
-            else:
-                mul[1, 1] = 1
-            self._mul = mul
-            add = np.empty((q, q), dtype=np.int16)
-            chunk = max(1, (1 << 22) // (q * h + 1))
-            for start in range(0, q, chunk):
-                stop = min(q, start + chunk)
-                s = (digits[start:stop, None, :].astype(np.int64)
-                     + digits[None, :, :].astype(np.int64)) % p
-                add[start:stop] = (s @ pw).astype(np.int16)
-            self._add = add
+        # log a + log b < 2(q - 1) indexes the doubled exp; int16 keeps the
+        # q x q index and result at two bytes an entry
+        log16 = log.astype(np.int16)
+        mul = exp.astype(np.int16)[log16[:, None] + log16[None, :]]
+        mul[0, :] = 0
+        mul[:, 0] = 0
+
+        # one base-p digit at a time: with a = p*a' + a0,
+        # add[a, b] = p * add[a', b'] + (a0 + b0) % p
+        d = np.arange(p, dtype=np.int16)
+        low = (d[:, None] + d[None, :]) % p
+        add = np.zeros((1, 1), dtype=np.int16)
+        for _ in range(h):
+            m = len(add)
+            add = (p * add[:, None, :, None] + low[:, None, :]).reshape(m * p, m * p)
+
+        self._exp = exp
+        self._neg = mul[p - 1].astype(np.int32)      # -1 is encoded as p - 1
+        self.add_table = add
+        self.mul_table = mul
+        self.inv_table = inv
+        for tbl in (exp, self._neg, add, mul, inv):
+            tbl.setflags(write=False)
 
     def _spot_check_order(self):
         # sampled nonzero elements must have multiplicative order dividing q-1
@@ -338,35 +283,21 @@ class Field:
     # -- scalar ops ----------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self._add is not None:
-            return int(self._add[a, b])
-        return self.encode([(x + y) % self.p for x, y in
-                            zip(self.decode(a), self.decode(b))])
+        return int(self.add_table[a, b])
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def neg(self, a: int) -> int:
-        if self._neg is not None:
-            return int(self._neg[a])
-        return self.encode([(-x) % self.p for x in self.decode(a)])
+        return int(self._neg[a])
 
     def mul(self, a: int, b: int) -> int:
-        if self._mul is not None:
-            return int(self._mul[a, b])
-        if a == 0 or b == 0:
-            return 0
-        if self._exp is not None:
-            return int(self._exp[self._log[a] + self._log[b]])
-        return self._scalar_mul_poly(a, b)
+        return int(self.mul_table[a, b])
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero field element")
-        if self._inv is not None:
-            return int(self._inv[a])
-        coeffs = _poly_inverse(list(self.decode(a)), list(self.modulus), self.p)
-        return self.encode(coeffs + [0] * (self.h - len(coeffs)))
+        return int(self.inv_table[a])
 
     def pow_(self, a: int, e: int) -> int:
         if e < 0:
@@ -378,52 +309,6 @@ class Field:
             acc = self.mul(acc, acc)
             e >>= 1
         return result
-
-    def elements(self) -> range:
-        return range(self.q)
-
-    def nonzero_elements(self) -> range:
-        return range(1, self.q)
-
-    # -- vector ops (numpy) ---------------------------------------------------
-
-    @property
-    def has_vector_tables(self) -> bool:
-        return self._add is not None and self._mul is not None
-
-    def _require_tables(self):
-        if not self.has_vector_tables:
-            raise RuntimeError(
-                f"q = {self.q} exceeds the dense-table cap ({_PAIR_TABLE_CAP}); "
-                "vectorised field ops unavailable")
-
-    def add_v(self, a, b):
-        self._require_tables()
-        return self._add[a, b]
-
-    def mul_v(self, a, b):
-        self._require_tables()
-        return self._mul[a, b]
-
-    def inv_v(self, a):
-        """Vectorised inverse; maps 0 to 0 (callers guard zero rows)."""
-        self._require_tables()
-        return self._inv[a]
-
-    @property
-    def add_table(self):
-        self._require_tables()
-        return self._add
-
-    @property
-    def mul_table(self):
-        self._require_tables()
-        return self._mul
-
-    @property
-    def inv_table(self):
-        self._require_tables()
-        return self._inv
 
     # -- misc -----------------------------------------------------------------
 

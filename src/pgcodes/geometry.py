@@ -85,16 +85,17 @@ class _Enumeration:
         self.theta_prefix = np.array(
             [_theta_int(m, q) for m in range(-1, dim + 1)], dtype=np.int64)
 
-        blocks = []
+        # the rows with the leading 1 at k count t = 0, 1, ... in base q over
+        # the coordinates after k; each digit of t is written through a
+        # reshaped view of the block, so no counter or digit array is built
+        self.table = np.zeros((self.size, dim + 1), dtype=np.int16)
+        start = 0
         for k in range(dim, -1, -1):
-            count = q ** (dim - k)
-            block = np.zeros((count, dim + 1), dtype=np.int16)
+            block = self.table[start:start + q ** (dim - k)]
             block[:, k] = 1
-            t = np.arange(count, dtype=np.int64)
             for j in range(k + 1, dim + 1):
-                block[:, j] = (t // (q ** (dim - j))) % q
-            blocks.append(block)
-        self.table = np.vstack(blocks)
+                block.reshape(-1, q, q ** (dim - j), dim + 1)[:, :, :, j] = np.arange(q)[:, None]
+            start += len(block)
         self.table.setflags(write=False)
 
     def normalize_rows(self, rows: np.ndarray) -> np.ndarray:
@@ -104,8 +105,8 @@ class _Enumeration:
             raise ValueError("cannot normalise a zero vector")
         k = nz.argmax(axis=1)
         lead = rows[np.arange(len(rows)), k]
-        inv = self.field.inv_v(lead).astype(np.int16)
-        return self.field.mul_v(inv[:, None], rows)
+        inv = self.field.inv_table[lead].astype(np.int16)
+        return self.field.mul_table[inv[:, None], rows]
 
     def index_rows(self, rows: np.ndarray) -> np.ndarray:
         """Indices of already-normalised coordinate rows."""
@@ -146,11 +147,11 @@ class ProjectiveSpace:
             raise ValueError("projective dimension n must be >= 2")
         cap = DEFAULT_POINT_CAP if max_points is None else max_points
         q = field.q
-        size = _theta_int(n, q)
-        if size > cap:
-            raise ValueError(
-                f"PG({n},{q}) has {size} points, exceeding the cap of {cap}")
-        field._require_tables()
+        size = 1                     # theta(m) = q theta(m-1) + 1, stopped past the cap
+        for _ in range(n):
+            size = q * size + 1
+            if size > cap:
+                raise ValueError(f"PG({n},{q}) has more points than the cap of {cap}")
         self.n = n
         self.field = field
         self.q = q

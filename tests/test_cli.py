@@ -90,22 +90,46 @@ def test_analyze_rejects_out_of_range_terms(tmp_path, capsys, terms):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-@pytest.mark.parametrize("spec", [
-    {"n": 2, "p": 5, "h": True, "terms": [[0, 1]]},
-    {"n": 2.0, "p": 5, "h": 3, "terms": [[0, 1]]},
-    {"n": 2, "p": "5", "h": 3, "terms": [[0, 1]]},
-    {"n": 2, "p": 5, "h": 3, "terms": 5},
-    {"n": 2, "p": 5, "h": 3, "fixture": "random-j", "j": 2.5, "seed": 1},
-    {"n": 2, "p": 5, "h": 3, "fixture": "random-j", "j": 2, "seed": False},
-    [[0, 1]],
-])
-def test_analyze_rejects_malformed_specs(tmp_path, capsys, spec):
-    """A spec that is not an object, or whose n, p, h, terms, j or seed is
-    not of the expected type, ends in an error and exit 1."""
+MALFORMED_SPECS = [
+    ({"n": 2, "p": 5, "h": True, "terms": [[0, 1]]}, "h must be an integer"),
+    ({"n": 2.0, "p": 5, "h": 3, "terms": [[0, 1]]}, "n must be an integer"),
+    ({"n": 2, "p": "5", "h": 3, "terms": [[0, 1]]}, "p must be an integer"),
+    ({"n": 2, "p": 5, "h": 3, "terms": 5}, "terms must be a list"),
+    ({"n": 2, "p": 5, "h": 3, "fixture": "random-j", "j": 2.5, "seed": 1}, "j must be"),
+    ({"n": 2, "p": 5, "h": 3, "fixture": "random-j", "j": 2, "seed": False}, "seed must be"),
+    ([[0, 1]], "JSON object"),
+    ({"n": 100000, "p": 2, "h": 1, "terms": []}, "cap"),
+    ({"p": 5, "h": 3, "terms": [[0, 1]]}, "no 'n' key"),
+    ({"n": 2, "p": 5, "h": 3, "fixture": "random-j", "seed": 1}, "no 'j' key"),
+]
+
+
+@pytest.mark.parametrize("spec,needle", MALFORMED_SPECS,
+                         ids=[f"spec{i}" for i in range(len(MALFORMED_SPECS))])
+def test_analyze_rejects_malformed_specs(tmp_path, capsys, spec, needle):
+    """A spec that is not an object, whose n, p, h, terms, j or seed is
+    missing or not of the expected type, or whose space exceeds the point
+    cap, ends in an error naming the fault and exit 1."""
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     assert main(["analyze", str(path), "--decompose"]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert needle in err
+
+
+def test_field_above_max_q_is_an_error(tmp_path, capsys):
+    """GF(2^13) is refused with an error even under a point cap that admits
+    PG(2, 8192); geom-info needs no field and still answers."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"n": 2, "p": 2, "h": 13, "terms": []}))
+    assert main(["analyze", str(path), "--cap-points", "100000000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "4096" in captured.err
+    assert captured.out == ""
+    rc, out = _run(capsys, ["geom-info", "2", "2", "13"])
+    assert rc == 0
+    assert json.loads(out)["q"] == 8192
 
 
 def test_threads_below_one_is_an_error(tmp_path, capsys):

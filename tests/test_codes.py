@@ -145,6 +145,17 @@ def test_codeword_json_roundtrip(spaces):
     assert d2.terms == d.terms
 
 
+@pytest.mark.parametrize("index", [-1, 21, 999, -5])
+def test_json_loaders_reject_out_of_range_indices(spaces, index):
+    """A point or hyperplane index outside [0, 21) of PG(2,4) is refused,
+    not wrapped onto another point or stored as a foreign hyperplane."""
+    sp = spaces(2, 2, 2)
+    with pytest.raises(ValueError, match="out of range"):
+        codeword_from_json({"n": 2, "p": 2, "h": 2, "values": [[index, 1]]}, sp)
+    with pytest.raises(ValueError, match="out of range"):
+        decomposition_from_json({"terms": [[0, 1], [index, 1]]}, sp)
+
+
 def test_codeword_immutable(spaces):
     sp = spaces(2, 5, 1)
     cw = incidence_codeword(sp, 0)

@@ -1,12 +1,21 @@
 """Field arithmetic and mod-p linear algebra."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from pgcodes import field_make, nullspace
+from pgcodes import ff, field_make, nullspace
 from pgcodes.ff import is_irreducible, is_prime, lowest_irreducible
+
+# SHA-256 of modulus, dtype, shape and bytes of the exp, add, mul, inv and neg
+# tables of the fields below.  It was computed with the earlier build (a
+# per-element exp loop and int64 digit sums), so it does not depend on the
+# doubling and digit-wise builds it checks.
+TABLES_SHA256 = "161a9c5de954e749066d0ad0aee61c032067c9d7f68e3180a681e1c6694a221d"
+TABLE_FIELDS = [(2, 1), (3, 1), (2, 6), (11, 2), (5, 3), (2, 11), (3, 7), (7, 4),
+                (5, 5), (4093, 1), (2, 12)]
 
 
 def test_is_prime():
@@ -24,6 +33,46 @@ def test_field_rejects_bad_parameters():
     # x^2 + 1 is reducible over F_5 (x = 2 is a root)
     with pytest.raises(ValueError):
         field_make(5, 2, modulus=[1, 0, 1])
+
+
+@pytest.mark.parametrize("p,h", [(2, 13), (4099, 1), (2, 10 ** 9), (2 ** 61 - 1, 1)])
+def test_field_above_max_q_is_refused_before_any_work(monkeypatch, p, h):
+    """q > 4096 is refused before the primality test, the irreducible search
+    or any table build, so even a 19-digit p or h = 10^9 fails at once."""
+    def unreachable(*args):
+        raise AssertionError("work done on a refused field")
+    for name in ("is_prime", "lowest_irreducible", "is_irreducible"):
+        monkeypatch.setattr(ff, name, unreachable)
+    monkeypatch.setattr(ff.Field, "_build_tables", unreachable)
+    with pytest.raises(ValueError, match="4096"):
+        field_make(p, h)
+
+
+def test_tables_digest():
+    """The tables of q in {2, 3, 64, 121, 125, 2048, 2187, 2401, 3125, 4093,
+    4096} are byte-identical to a pinned build."""
+    digest = hashlib.sha256()
+    for p, h in TABLE_FIELDS:
+        f = field_make(p, h)
+        digest.update(repr(f.modulus).encode())
+        for t in (f._exp, f.add_table, f.mul_table, f.inv_table, f._neg):
+            digest.update(t.dtype.str.encode())
+            digest.update(repr(t.shape).encode())
+            digest.update(t.tobytes())
+    assert digest.hexdigest() == TABLES_SHA256
+
+
+@pytest.mark.parametrize("p,h", [(2, 11), (3, 7), (7, 3)])
+def test_tables_against_polynomial_arithmetic(p, h):
+    """Sampled mul_table entries equal the polynomial product mod the modulus,
+    and add_table entries the digit-wise sum mod p."""
+    f = field_make(p, h)
+    rng = np.random.default_rng(4)
+    for a, b in rng.integers(0, f.q, size=(300, 2)).tolist():
+        prod = ff._pmulmod(list(f.decode(a)), list(f.decode(b)), list(f.modulus), p)
+        assert int(f.mul_table[a, b]) == f.encode(prod)
+        assert int(f.add_table[a, b]) == f.encode(
+            [(x + y) % p for x, y in zip(f.decode(a), f.decode(b))])
 
 
 def test_default_modulus_is_lowest_lex_irreducible():
@@ -73,21 +122,22 @@ def test_gf32_inverses_exhaustive_with_search_oracle():
         assert f.mul(a, f.inv(a)) == 1
 
 
-@pytest.mark.parametrize("p,h", [(2, 5), (5, 3), (3, 4), (11, 2)])
+@pytest.mark.parametrize("p,h", [(2, 5), (5, 3), (3, 4), (11, 2), (3, 5)])
 def test_field_axioms(p, h):
-    """Associativity, distributivity, inverses: exhaustive for q <= 128."""
+    """Associativity, distributivity, inverses: exhaustive for q <= 128,
+    sampled above."""
     f = field_make(p, h)
     q = f.q
+    add, mul = f.add_table, f.mul_table
     if q <= 128:
         a = np.arange(q)[:, None, None]
         b = np.arange(q)[None, :, None]
         c = np.arange(q)[None, None, :]
-        assert np.array_equal(f.add_v(f.add_v(a, b), c), f.add_v(a, f.add_v(b, c)))
-        assert np.array_equal(f.mul_v(f.mul_v(a, b), c), f.mul_v(a, f.mul_v(b, c)))
-        assert np.array_equal(f.mul_v(a, f.add_v(b, c)),
-                              f.add_v(f.mul_v(a, b), f.mul_v(a, c)))
+        assert np.array_equal(add[add[a, b], c], add[a, add[b, c]])
+        assert np.array_equal(mul[mul[a, b], c], mul[a, mul[b, c]])
+        assert np.array_equal(mul[a, add[b, c]], add[mul[a, b], mul[a, c]])
         nz = np.arange(1, q)
-        assert np.array_equal(f.mul_v(nz, f.inv_v(nz)), np.ones(q - 1, dtype=np.int16))
+        assert np.array_equal(mul[nz, f.inv_table[nz]], np.ones(q - 1, dtype=np.int16))
     else:
         rng = np.random.default_rng(1)
         for _ in range(200):
@@ -121,8 +171,8 @@ def test_scalar_and_vector_ops_agree():
     rng = np.random.default_rng(3)
     a = rng.integers(0, f.q, size=100)
     b = rng.integers(0, f.q, size=100)
-    va = f.add_v(a, b)
-    vm = f.mul_v(a, b)
+    va = f.add_table[a, b]
+    vm = f.mul_table[a, b]
     for i in range(100):
         assert int(va[i]) == f.add(int(a[i]), int(b[i]))
         assert int(vm[i]) == f.mul(int(a[i]), int(b[i]))
