@@ -21,7 +21,7 @@ import numpy as np
 
 from .ff import is_prime
 from .codes import Codeword, restricted_weight, support
-from .geometry import SubspacePointSet, _chunk_slices
+from .geometry import _CHUNK_ENTRIES, SubspacePointSet
 
 
 def theta(m: int, q: int) -> int:
@@ -141,49 +141,106 @@ class SecantSpectrum:
                               for s in sorted(self.histogram) if self.histogram[s]]}
 
 
-def _spectrum_plane(sp, supp: np.ndarray) -> dict[int, int]:
-    """Histogram over every line of the plane, from the pencils of the support."""
-    counts = np.zeros(sp.num_hyperplanes, dtype=np.int64)
-    for sl in _chunk_slices(len(supp), sp.q + 1):
-        np.add.at(counts, sp._orthogonal_indices(2, supp[sl]), 1)
-    hist = np.bincount(counts)
-    return {int(s): int(k) for s, k in enumerate(hist) if k}
+def _affine_counts(field, dim: int, x: np.ndarray, on_inf: np.ndarray,
+                   blocks: list[tuple[int, int, int, int]]) -> np.ndarray:
+    """hist[s] = number of affine lines of PG(dim, q) in the direction
+    blocks that meet the support in s points.
 
-
-def _spectrum_general_range(c: Codeword, supp: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Sum over anchors in supp[lo:hi] of the per-anchor secant-size counts.
-
-    A line through an anchor corresponds to a point of the quotient space;
-    bucketing the other support points by quotient index yields, for each
-    line through the anchor, its number of further support points.
+    x holds the affine support points as rows (x_1..x_dim) and on_inf marks
+    the directions in the support.  A direction d with leading 1 at column
+    k sends an affine point x to the key of y = x - x_k d with y_k dropped,
+    a base-q number in [0, q^(dim-1)) that names its line.  Block (k, a, b, r)
+    holds the directions with leading column k, middle columns the base-q
+    digits of r and last column in [a, b); the last column's term of the
+    key depends only on (k, a, b), so it is reused over every r.
     """
-    sp = c.space
-    tq = sp.theta(sp.n - 1)
-    weighted = np.zeros(sp.q + 2, dtype=np.int64)
-    for a in range(lo, hi):
-        yidx = sp._project(int(supp[a]), np.delete(supp, a))
-        buckets = np.bincount(yidx, minlength=tq)
-        local = np.bincount(buckets)
-        # bucket size k means a (k+1)-secant through this anchor
-        weighted[1:1 + len(local)] += local
-    return weighted
+    q = field.q
+    bins = q ** (dim - 1)
+    minus = field.mul_table[field.p - 1]           # -1 is encoded as p - 1
+    hist = np.zeros(q + 2, dtype=np.int64)
+    shared = None
+    for k, a, b, r in blocks:
+        if shared != (k, a, b):
+            shared = (k, a, b)
+            minus_xk = minus[x[:, k]]
+            fixed = np.zeros(len(x), dtype=np.intp)
+            for c in range(k):
+                fixed += x[:, c] * q ** (dim - 2 - c)
+            # int32: the one array kept across blocks; keys and bins are intp
+            shift = np.arange(b - a, dtype=np.int32) * bins
+            if k < dim - 1:
+                shift = shift + field.add_table[x[:, -1:], field.mul_table[minus_xk, a:b]]
+        base = fixed.copy()
+        for c in range(k + 1, dim - 1):
+            dc = r // q ** (dim - 2 - c) % q
+            y = field.add_table[x[:, c], field.mul_table[dc, minus_xk]]
+            base += y.astype(np.intp) * q ** (dim - 1 - c)
+        counts = np.bincount((base[:, None] + shift).ravel(),
+                             minlength=(b - a) * bins).reshape(b - a, bins)
+        first = theta(dim - 2 - k, q) + r * q + a
+        counts += on_inf[first:first + b - a, None]
+        hist += np.bincount(counts.ravel(), minlength=q + 2)
+        del counts                  # free the bins before the next block's keys
+    return hist
 
 
-def _anchor_ranges(nsup: int, threads: int) -> list[tuple[int, int]]:
-    """Split nsup anchors into one contiguous range per worker thread.
+def _block_ranges(nblocks: int, threads: int) -> list[tuple[int, int]]:
+    """Split nblocks direction blocks into one contiguous range per worker.
 
-    The pool is capped at os.cpu_count() and at nsup, whatever `threads` asks.
+    The pool is capped at os.cpu_count() and at nblocks, whatever `threads` asks.
     """
-    workers = max(1, min(threads, os.cpu_count() or 1, nsup))
-    step = -(-nsup // workers)
-    return [(lo, min(nsup, lo + step)) for lo in range(0, nsup, step)]
+    workers = max(1, min(threads, os.cpu_count() or 1, nblocks))
+    step = -(-nblocks // workers)
+    return [(lo, min(nblocks, lo + step)) for lo in range(0, nblocks, step)]
+
+
+def _line_counts(sp, dim: int, supp: np.ndarray, threads: int) -> np.ndarray:
+    """hist[s] = number of lines of PG(dim, q) that meet supp in s >= 1 points.
+
+    PG(dim, q) is the first theta(dim) points of the space.  Its first
+    theta(dim-1) points are the hyperplane at infinity x0 = 0, indexed as
+    PG(dim-1, q); point theta(dim-1) + t is the affine point (1, base-q digits
+    of t).  Each line either has a direction at infinity or lies in it.
+    """
+    q = sp.q
+    hist = np.zeros(q + 2, dtype=np.int64)
+    if len(supp) == 0:
+        return hist
+    if dim == 1:
+        hist[len(supp)] = 1
+        return hist
+    t_inf = sp.theta(dim - 1)
+    at_inf = supp[supp < t_inf]
+    t = supp[supp >= t_inf] - t_inf
+    x = np.stack([t // q ** (dim - 1 - c) % q for c in range(dim)], axis=1)
+    on_inf = np.zeros(t_inf, dtype=np.int64)
+    on_inf[at_inf] = 1
+    # a block of B directions holds B * len(x) keys and B * q^(dim-1) bins,
+    # together at most _CHUNK_ENTRIES (one direction's bins may exceed it)
+    step = max(1, min(q, _CHUNK_ENTRIES // (len(x) + q ** (dim - 1))))
+    size = -(-q // -(-q // step))              # equal pieces of the last column
+    blocks = [(dim - 1, 0, 1, 0)] + [(k, a, min(q, a + size), r) for k in range(dim - 1)
+                                      for a in range(0, q, size)
+                                      for r in range(q ** (dim - 2 - k))]
+    ranges = _block_ranges(len(blocks), threads)
+
+    def work(r):
+        return _affine_counts(sp.field, dim, x, on_inf, blocks[slice(*r)])
+
+    # the calling thread takes the first range itself, so threads=1 starts no
+    # thread; a pool thread's own malloc arena added 3-5 MB to peak RSS
+    with ThreadPoolExecutor(max_workers=len(ranges)) as ex:
+        rest = ex.map(work, ranges[1:])
+        hist += work(ranges[0]) + sum(rest)
+    return hist + _line_counts(sp, dim - 1, at_inf, threads)
 
 
 def secant_spectrum(c: Codeword, max_lines: Optional[int] = None,
                     threads: int = 1) -> SecantSpectrum:
     """Exact histogram of line-support intersection sizes over all lines.
 
-    For n >= 3 the anchors are split over at most `threads` threads (>= 1).
+    The direction blocks of each level are split over at most `threads`
+    threads (>= 1).
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -192,20 +249,8 @@ def secant_spectrum(c: Codeword, max_lines: Optional[int] = None,
     cap = max_lines if max_lines is not None else 50_000_000
     if total > cap:
         raise ValueError(f"line count {total} exceeds the cap of {cap}")
-    supp = support(c)
-    if len(supp) == 0:
-        return SecantSpectrum({0: total}, total)
-    if sp.n == 2:
-        return SecantSpectrum(_spectrum_plane(sp, supp), total)
-    ranges = _anchor_ranges(len(supp), threads)
-    with ThreadPoolExecutor(max_workers=len(ranges)) as ex:
-        weighted = sum(ex.map(lambda r: _spectrum_general_range(c, supp, *r), ranges))
-    hist: dict[int, int] = {}
-    for s in range(1, len(weighted)):
-        if weighted[s]:
-            if weighted[s] % s != 0:
-                raise RuntimeError("inconsistent secant accumulation")
-            hist[s] = int(weighted[s] // s)
+    counts = _line_counts(sp, sp.n, support(c), threads)
+    hist = {s: int(k) for s, k in enumerate(counts) if s and k}
     covered = sum(hist.values())
     if covered < total:
         hist[0] = total - covered

@@ -87,18 +87,11 @@ def _space_from_params(n: int, p: int, h: int, cap_points: Optional[int]) -> Pro
     return space_make(n, field_make(p, h), max_points=cap_points)
 
 
-def _spec_int(value, what: str) -> int:
-    """An integer from a spec; bool, float and str are refused, not coerced."""
-    if type(value) is not int:
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def _spec_key(spec: dict, key: str) -> int:
     """The integer under a required key of a spec."""
     if key not in spec:
         raise ValueError(f"the spec has no {key!r} key")
-    return _spec_int(spec[key], key)
+    return codes.checked_int(spec[key], key)
 
 
 def _build_from_spec(spec: dict, cap_points: Optional[int]):
@@ -117,11 +110,10 @@ def _build_from_spec(spec: dict, cap_points: Optional[int]):
         for hspec, coef in pairs:
             if isinstance(hspec, list):
                 hidx = space.hyperplane_index(
-                    [_spec_int(c, "a dual coordinate") for c in hspec])
+                    [codes.checked_int(c, "a dual coordinate") for c in hspec])
             else:
-                hidx = codes.checked_index(_spec_int(hspec, "a hyperplane index"),
-                                           space, "hyperplane")
-            terms.append((hidx, _spec_int(coef, "a coefficient")))
+                hidx = codes.checked_index(hspec, space, "hyperplane")
+            terms.append((hidx, codes.checked_int(coef, "a coefficient")))
         cw, _ = codes.combine(space, terms)
         return space, cw, None
     if fixture == "szonyi":
@@ -130,7 +122,7 @@ def _build_from_spec(spec: dict, cap_points: Optional[int]):
         cw, info = minimality.p2_fixtures(space, fixture)
     elif fixture == "random-j":
         j = _spec_key(spec, "j")
-        seed = _spec_int(spec.get("seed", 0), "seed")
+        seed = codes.checked_int(spec.get("seed", 0), "seed")
         rng = np.random.default_rng(seed)
         cw, d = minimality.random_combination(space, j, rng)
         info = {"terms": d.to_json()["terms"], "seed": seed}
@@ -163,6 +155,15 @@ def cmd_fixture(args) -> int:
 def cmd_analyze(args) -> int:
     with open(args.spec, "rb") as fh:
         raw = fh.read()
+    # the space, its tables and the codewords are freed when _analyze
+    # returns, so serialising a long report does not stack on top of them
+    report, rc = _analyze(args, raw)
+    _emit(report, args.out)
+    return rc
+
+
+def _analyze(args, raw: bytes) -> tuple[dict, int]:
+    """The analyze report of a spec file's bytes, and the exit code."""
     spec = json.loads(raw.decode("utf-8"))
     space, cw, info = _build_from_spec(spec, args.cap_points)
     ctx = bounds.context_for(cw)
@@ -206,12 +207,9 @@ def cmd_analyze(args) -> int:
     except (NoDecompositionError, ValueError) as exc:
         report["error"] = str(exc)
         rc = 1
-    _emit(report, args.out)
-    if rc:
-        return rc
-    if flags and not args.no_regime_exit:
-        return 2
-    return 0
+    if not rc and flags and not args.no_regime_exit:
+        rc = 2
+    return report, rc
 
 
 # ---------------------------------------------------------------------------

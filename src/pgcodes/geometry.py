@@ -297,9 +297,16 @@ class ProjectiveSpace:
             out[sel] = enum.index_rows(rows).reshape(len(sel), -1)
         return out
 
+    def _checked_index(self, i: int, what: str) -> int:
+        """i, refused with a ValueError outside [0, theta(n))."""
+        if not 0 <= i < self.num_points:
+            raise ValueError(f"{what} index {i} out of range [0, {self.num_points})")
+        return i
+
     def hyperplane_point_indices(self, h: Union[Hyperplane, int]) -> np.ndarray:
         """Indices of the theta(n-1) points on a hyperplane (enumeration order)."""
-        key = h.index if isinstance(h, Hyperplane) else int(h)
+        key = self._checked_index(h.index if isinstance(h, Hyperplane) else int(h),
+                                  "hyperplane")
         cached = self._hyperplane_points_cache.get(key)
         if cached is not None:
             return cached
@@ -311,7 +318,7 @@ class ProjectiveSpace:
 
     def pencil_indices(self, p: Union[ProjPoint, int]) -> np.ndarray:
         """Indices of the theta(n-1) hyperplanes through a point (enum order)."""
-        key = p.index if isinstance(p, ProjPoint) else int(p)
+        key = self._checked_index(p.index if isinstance(p, ProjPoint) else int(p), "point")
         return self._orthogonal_indices(self.n, [key])[0]
 
     # -- the quotient at a point ------------------------------------------------

@@ -337,7 +337,7 @@ def build_witness(d: Decomposition, fixpoint: HyperplanePartition,
         raise RuntimeError("witness support escapes supp(c)")
     if _is_scalar_multiple(w, cvals, p):
         raise RuntimeError("witness degenerated to a scalar multiple of c")
-    values = np.zeros(space.num_points, dtype=np.int64)
+    values = np.zeros(space.num_points, dtype=np.int16)
     values[union] = w
     return Codeword(space, values)
 

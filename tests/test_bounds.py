@@ -1,6 +1,7 @@
 """Bound functions, thin/thick classification, and secant spectra."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from pgcodes import (BoundContext, Classification, classify, combine, delta,
                      incidence_codeword, max_thin_secant, secant_spectrum,
                      theta, thick_bound_U, weight, weight_bound_W)
 from pgcodes import bounds
-from pgcodes.bounds import _anchor_ranges, context_for, regime_flags
+from pgcodes.bounds import _block_ranges, context_for, regime_flags
 from pgcodes.minimality import random_combination
 
 
@@ -158,54 +159,90 @@ def test_spectrum_single_line(spaces):
     assert sum(spec.histogram.values()) == spec.total_lines == 1057
 
 
+def _line_scan(sp, cws):
+    """Independent oracle: intersect every enumerated line with each support."""
+    lines = [np.asarray(ln.point_set) for ln in sp.lines_of()]
+    return [dict(Counter(int(np.count_nonzero(cw.values[ln])) for ln in lines))
+            for cw in cws]
+
+
 def test_spectrum_against_line_scan_oracle(spaces):
-    """Independent oracle: intersect every enumerated line with the support.
-    Planes of order 9, 32 and 25 (91, 1057 and 651 lines)."""
-    for key, j in (((2, 3, 2), 3), ((2, 2, 5), 4), ((2, 5, 2), 3)):
+    """Planes of order 9, 32, 25 and 27 (91, 1057, 651 and 757 lines); the
+    last has odd p and h = 3.  Two threads give the same histogram."""
+    for key, j in (((2, 3, 2), 3), ((2, 2, 5), 4), ((2, 5, 2), 3), ((2, 3, 3), 4)):
         sp = spaces(*key)
         rng = np.random.default_rng(9)
         cw, _ = random_combination(sp, j, rng)
-        supp = set(np.nonzero(cw.values)[0].tolist())
-        oracle = {}
-        for ln in sp.lines_of():
-            s = len(supp & set(ln.point_set))
-            oracle[s] = oracle.get(s, 0) + 1
-        spec = secant_spectrum(cw)
-        assert spec.histogram == oracle, key
+        oracle, = _line_scan(sp, [cw])
+        assert secant_spectrum(cw).histogram == oracle, key
+        assert secant_spectrum(cw, threads=2).histogram == oracle, key
 
 
 def test_spectrum_general_dimension_against_line_scan(spaces):
-    sp = spaces(3, 2, 2)  # PG(3,4): 357 lines
-    rng = np.random.default_rng(10)
-    cw, _ = random_combination(sp, 2, rng)
-    supp = set(np.nonzero(cw.values)[0].tolist())
-    oracle = {}
-    for ln in sp.lines_of():
-        s = len(supp & set(ln.point_set))
-        oracle[s] = oracle.get(s, 0) + 1
-    spec = secant_spectrum(cw)
-    assert spec.histogram == oracle
-    # threaded scan is deterministic and identical
-    spec2 = secant_spectrum(cw, threads=3)
-    assert spec2.histogram == spec.histogram
+    """Seeded codewords in PG(3,4), PG(3,5) and PG(4,3) against a scan of
+    every line, at one and two threads.  Three supports probe the split at
+    the hyperplane x0 = 0 (index theta(n-1)): that hyperplane itself, wholly
+    at infinity; a combination that includes it; and the difference of two
+    hyperplanes that meet inside it, which has no point there."""
+    for key in ((3, 2, 2), (3, 5, 1), (4, 3, 1)):
+        sp = spaces(*key)
+        n, p = sp.n, sp.field.p
+        inf = sp.theta(n - 1)
+        h1, h2, h3 = (sp.hyperplane_index(head + [0] * (n - 1))
+                      for head in ([0, 1], [1, 1], [1, 0]))
+        cws = [incidence_codeword(sp, inf),
+               combine(sp, [(inf, 1), (h1, 1), (h3, p - 1)])[0],
+               combine(sp, [(h1, 1), (h2, p - 1)])[0]]
+        supp = [np.nonzero(cw.values)[0] for cw in cws]
+        assert (supp[0] < inf).all() and (supp[1] < inf).any() and (supp[1] >= inf).any()
+        assert len(supp[2]) and not (supp[2] < inf).any()
+        rng = np.random.default_rng(10)
+        cws += [random_combination(sp, j, rng)[0] for j in (1, 2, 2, 3, 4)]
+        for i, (cw, oracle) in enumerate(zip(cws, _line_scan(sp, cws))):
+            assert secant_spectrum(cw).histogram == oracle, (key, i)
+            assert secant_spectrum(cw, threads=2).histogram == oracle, (key, i)
+
+
+def test_spectrum_does_not_depend_on_block_size(spaces, monkeypatch):
+    """Blocks of 1, 2 and 3 directions, which cut the runs of the last
+    coordinate into pieces (equal or not), give the histogram of the default
+    blocks, at one and two threads.  Each support has points at infinity."""
+    for key in ((2, 3, 3), (3, 2, 2), (3, 5, 1), (4, 3, 1)):
+        sp = spaces(*key)
+        n, q = sp.n, sp.q
+        inf = sp.theta(n - 1)
+        rng = np.random.default_rng(12)
+        cws = [combine(sp, [(inf, 1), (int(rng.integers(inf, sp.num_points)), 1)])[0]]
+        cws += [random_combination(sp, j, rng)[0] for j in (2, 3)]
+        for cw in cws:
+            expected = secant_spectrum(cw).histogram
+            supp = np.nonzero(cw.values)[0]
+            assert (supp < inf).any()
+            for size in (1, 2, 3):
+                entries = size * (int((supp >= inf).sum()) + q ** (n - 1))
+                monkeypatch.setattr(bounds, "_CHUNK_ENTRIES", entries)
+                for threads in (1, 2):
+                    assert secant_spectrum(cw, threads=threads).histogram == expected, \
+                        (key, size, threads)
+            monkeypatch.undo()
 
 
 def test_spectrum_threads_are_bounded(spaces, monkeypatch):
     """Fewer than one thread is an error; the pool never exceeds the CPU
-    count or the number of anchors.  The ranges come from a pure helper, so
-    no thread is started here."""
+    count or the number of direction blocks.  The ranges come from a pure
+    helper, so no thread is started here."""
     cw = incidence_codeword(spaces(3, 2, 2), 0)
     for bad in (0, -5):
         with pytest.raises(ValueError):
             secant_spectrum(cw, threads=bad)
     monkeypatch.setattr(bounds.os, "cpu_count", lambda: 4)
-    assert _anchor_ranges(8192, 100000) == [(0, 2048), (2048, 4096),
+    assert _block_ranges(8192, 100000) == [(0, 2048), (2048, 4096),
                                             (4096, 6144), (6144, 8192)]
-    assert _anchor_ranges(10, 3) == [(0, 4), (4, 8), (8, 10)]
-    assert _anchor_ranges(2, 8) == [(0, 1), (1, 2)]
-    assert _anchor_ranges(10, 1) == [(0, 10)]
+    assert _block_ranges(10, 3) == [(0, 4), (4, 8), (8, 10)]
+    assert _block_ranges(2, 8) == [(0, 1), (1, 2)]
+    assert _block_ranges(10, 1) == [(0, 10)]
     monkeypatch.setattr(bounds.os, "cpu_count", lambda: None)
-    assert _anchor_ranges(10, 3) == [(0, 10)]
+    assert _block_ranges(10, 3) == [(0, 10)]
 
 
 def test_secant_gap_and_dichotomy_q32(spaces):

@@ -80,6 +80,23 @@ def test_combine_is_linear(spaces):
     assert a + b == both
 
 
+def test_combinations_reduce_coefficients_outside_0_p(spaces):
+    """combine and partial_combination agree with the pointwise sum of
+    indicators mod p for coefficients below 0 and at least p."""
+    sp = spaces(2, 5, 1)
+    terms = [(3, -1), (7, 9), (11, 37), (3, 12)]
+
+    def pointwise(pairs):
+        return sum(c * incidence_codeword(sp, h).values.astype(np.int64)
+                   for h, c in pairs) % 5
+
+    cw, _ = combine(sp, terms)
+    assert cw.values.dtype == np.int16
+    assert np.array_equal(cw.values, pointwise(terms))
+    d = decomposition_from_json({"terms": [list(t) for t in terms[1:]]}, sp)
+    assert np.array_equal(partial_combination(d, d.terms).values, pointwise(terms[1:]))
+
+
 def test_restricted_weight(spaces):
     sp = spaces(3, 2, 2)
     h = 7
@@ -154,6 +171,27 @@ def test_json_loaders_reject_out_of_range_indices(spaces, index):
         codeword_from_json({"n": 2, "p": 2, "h": 2, "values": [[index, 1]]}, sp)
     with pytest.raises(ValueError, match="out of range"):
         decomposition_from_json({"terms": [[0, 1], [index, 1]]}, sp)
+
+
+NON_INTEGER_INPUTS = [
+    (codeword_from_json, {"n": 2, "p": 2, "h": 2, "values": [[3.9, 1]]}),
+    (codeword_from_json, {"n": 2, "p": 2, "h": 2, "values": [["5", 1]]}),
+    (codeword_from_json, {"n": 2, "p": 2, "h": 2, "values": [[True, 1]]}),
+    (codeword_from_json, {"n": 2, "p": 2, "h": 2, "values": [[3, 1.5]]}),
+    (codeword_from_json, {"n": 2.0, "p": 2, "h": 2, "values": [[3, 1]]}),
+    (decomposition_from_json, {"terms": [[0, 1.5]]}),
+    (decomposition_from_json, {"terms": [[3.9, 1]]}),
+    (decomposition_from_json, {"terms": [["5", 1]]}),
+    (decomposition_from_json, {"terms": [[True, 1]]}),
+]
+
+
+@pytest.mark.parametrize("loader,data", NON_INTEGER_INPUTS)
+def test_json_loaders_refuse_non_integers(spaces, loader, data):
+    """Indices, values, coefficients and parameters must be integers: 3.9 is
+    not truncated to 3, nor are "5" and true read as 5 and 1."""
+    with pytest.raises(ValueError, match="must be an integer"):
+        loader(data, spaces(2, 2, 2))
 
 
 def test_codeword_immutable(spaces):

@@ -5,7 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from pgcodes import space_make
+from pgcodes import combine, incidence_codeword, space_make
 from pgcodes.geometry import DEFAULT_POINT_CAP
 
 
@@ -35,6 +35,37 @@ def test_index_table_bijection(spaces):
         sp = spaces(*key)
         idx = sp._enum.index_rows(sp.point_table)
         assert np.array_equal(idx, np.arange(sp.num_points))
+
+
+@pytest.mark.parametrize("key", [(2, 2, 2), (2, 5, 1), (3, 3, 1), (3, 2, 2),
+                                 (4, 2, 1), (4, 3, 1)])
+def test_enumeration_splits_at_x0(spaces, key):
+    """The points with x0 = 0 are exactly the indices below theta(n-1), each
+    with its index in PG(n-1, q); point theta(n-1) + t is (1, base-q digits
+    of t).  The secant spectrum's affine/infinity split rests on both."""
+    sp = spaces(*key)
+    n, q = sp.n, sp.q
+    t_inf = theta(n - 1, q)
+    table = sp.point_table
+    assert np.array_equal(np.nonzero(table[:, 0] == 0)[0], np.arange(t_inf))
+    assert np.array_equal(table[:t_inf, 1:], sp._get_enum(n - 1).table)
+    for i in range(t_inf, sp.num_points):
+        t = i - t_inf
+        assert table[i].tolist() == [1] + [t // q ** (n - 1 - c) % q for c in range(n)]
+
+
+@pytest.mark.parametrize("index", [-5, -1, 21])
+def test_out_of_range_indices_are_refused(spaces, index):
+    """PG(2,4) has theta(2) = 21 points and hyperplanes.  An index outside
+    [0, 21) is refused by the point sets of hyperplanes, by pencils and by the
+    codeword builders, even once hyperplane 16 (which -5 used to wrap onto)
+    is cached."""
+    sp = spaces(2, 2, 2)
+    sp.hyperplane_point_indices(16)
+    for call in (sp.hyperplane_point_indices, sp.pencil_indices,
+                 lambda i: combine(sp, [(i, 1)]), lambda i: incidence_codeword(sp, i)):
+        with pytest.raises(ValueError, match="out of range"):
+            call(index)
 
 
 def test_point_index_roundtrip(spaces):
