@@ -35,7 +35,7 @@ class Codeword:
         return cls(space, np.zeros(space.num_points, dtype=np.int16))
 
     def value(self, point_index: int) -> int:
-        return int(self.values[point_index])
+        return int(self.values[self.space._checked_index(point_index, "point")])
 
     def __eq__(self, other):
         return (isinstance(other, Codeword) and self.space is other.space
@@ -98,7 +98,7 @@ class Decomposition:
     extended evaluation of the codeword on hyperplanes (zero off `terms`).
     """
 
-    __slots__ = ("space", "terms", "dropped", "flags", "tie_breaks")
+    __slots__ = ("space", "terms", "dropped", "flags", "tie_breaks", "_union")
 
     def __init__(self, space: ProjectiveSpace, terms: dict[int, int],
                  dropped: Sequence[int] = (), flags: Sequence[str] = (),
@@ -115,10 +115,37 @@ class Decomposition:
         self.dropped = tuple(dropped)
         self.flags = tuple(flags)
         self.tie_breaks = tuple(tie_breaks)
+        self._union = None
 
     @property
     def m(self) -> int:
         return len(self.terms)
+
+    def _union_positions(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sorted union U of the term hyperplanes' points, and an
+        m x theta(n-1) array whose row r holds the positions in U of the
+        points of the r-th hyperplane of `terms`.
+
+        Filled on first use and kept, so the minimality stages share one U.
+        One sort of the concatenated point lists finds U as the entries that
+        differ from their predecessor, and its inverse permutation gives the
+        positions, so no per-term search is needed.
+        """
+        if self._union is None:
+            pts = [self.space.hyperplane_point_indices(h) for h in self.terms]
+            flat = np.concatenate(pts) if pts else np.zeros(0, dtype=np.int64)
+            order = np.argsort(flat)
+            ordered = flat[order]
+            first = np.ones(len(ordered), dtype=bool)
+            first[1:] = ordered[1:] != ordered[:-1]
+            union = ordered[first]
+            positions = np.empty(len(flat), dtype=np.int64)
+            positions[order] = np.cumsum(first) - 1
+            positions = positions.reshape(len(pts), self.space.theta(self.space.n - 1))
+            union.setflags(write=False)
+            positions.setflags(write=False)
+            self._union = (union, positions)
+        return self._union
 
     def coefficient(self, h: Union[Hyperplane, int]) -> int:
         """Extended evaluation on hyperplanes: the coefficient, or 0."""
@@ -136,11 +163,17 @@ class Decomposition:
 
 
 def decomposition_from_json(data: Union[dict, str], space: ProjectiveSpace) -> Decomposition:
+    """A decomposition from its JSON terms; a repeated hyperplane is refused,
+    since `combine` would add its coefficients and a dict would keep the last."""
     if isinstance(data, str):
         data = json.loads(data)
-    return Decomposition(space, {checked_index(h, space, "hyperplane"):
-                                 checked_int(c, "a coefficient")
-                                 for h, c in data["terms"]})
+    terms: dict[int, int] = {}
+    for h, c in data["terms"]:
+        key = checked_index(h, space, "hyperplane")
+        if key in terms:
+            raise ValueError(f"hyperplane {key} appears more than once in the decomposition")
+        terms[key] = checked_int(c, "a coefficient")
+    return Decomposition(space, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ basis matrix, which keeps every enumeration a handful of table gathers.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
@@ -29,6 +30,8 @@ from .ff import Field
 
 DEFAULT_POINT_CAP = 10_000_000
 DEFAULT_LINE_CAP = 5_000_000
+# hyperplane point lists kept per space, oldest evicted first
+HYPERPLANE_POINTS_CACHE_ENTRIES = 256
 # The quotient pencil table (see `ProjectiveSpace._quotient_rows`) is kept
 # while its int32 entries fit this many bytes: 7.9 MB at PG(3,125), 152 MB
 # at PG(4,32).  Above it the rows are computed on each call.
@@ -157,7 +160,9 @@ class ProjectiveSpace:
         self.q = q
         self._enums: dict[int, _Enumeration] = {}
         self._enum = self._get_enum(n)
-        self._hyperplane_points_cache: dict[int, np.ndarray] = {}
+        # popitem(last=False) evicts the oldest entry in one call, so two
+        # threads evicting at once never pick the same key
+        self._hyperplane_points_cache: OrderedDict[int, np.ndarray] = OrderedDict()
         self._quotient_table: Optional[np.ndarray] = None
 
     # -- basics ---------------------------------------------------------------
@@ -190,11 +195,12 @@ class ProjectiveSpace:
         return self._enum.table
 
     def point(self, index: int) -> ProjPoint:
-        coords = tuple(int(c) for c in self._enum.coords_of(index))
+        coords = tuple(int(c) for c in self._enum.coords_of(self._checked_index(index, "point")))
         return ProjPoint(coords, index)
 
     def hyperplane(self, index: int) -> Hyperplane:
-        coords = tuple(int(c) for c in self._enum.coords_of(index))
+        coords = tuple(int(c) for c in
+                       self._enum.coords_of(self._checked_index(index, "hyperplane")))
         return Hyperplane(coords, index)
 
     def normalize(self, coords: Sequence[int]) -> tuple[int, ...]:
@@ -311,9 +317,10 @@ class ProjectiveSpace:
         if cached is not None:
             return cached
         idx = self._orthogonal_indices(self.n, [key])[0]
-        if len(self._hyperplane_points_cache) < 256:
-            idx.setflags(write=False)
-            self._hyperplane_points_cache[key] = idx
+        idx.setflags(write=False)
+        if len(self._hyperplane_points_cache) >= HYPERPLANE_POINTS_CACHE_ENTRIES:
+            self._hyperplane_points_cache.popitem(last=False)
+        self._hyperplane_points_cache[key] = idx
         return idx
 
     def pencil_indices(self, p: Union[ProjPoint, int]) -> np.ndarray:
@@ -332,7 +339,7 @@ class ProjectiveSpace:
         position t of pencil_indices(a) iff t . y = 0.
         """
         f = self.field
-        a, x = self.point_table[anchor], self.point_table[others]
+        a, x = self.point_table[anchor], np.take(self.point_table, others, axis=0)
         j0 = int(np.argmax(a != 0))
         off = np.arange(self.n + 1) != j0
         minus_a = f.mul_table[f.p - 1][a[off]]          # -1 is encoded as p - 1

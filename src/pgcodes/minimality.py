@@ -156,6 +156,21 @@ def _best_candidate(counts: np.ndarray, cand_idx: np.ndarray):
     return best, int(hyp[k]), int(als[k]) + 1, len(ts) > 1
 
 
+def _peel(residual: np.ndarray, supp: np.ndarray, pts: np.ndarray,
+          alpha: int, p: int) -> np.ndarray:
+    """Subtract alpha on the points pts of a hyperplane, in place, and return
+    the new sorted support, in O(wt + theta(n-1)) without a full-space pass.
+
+    Points of pts outside the support take the value -alpha != 0, so they
+    join it; old support points that reach 0 leave it.
+    """
+    old = residual[pts]
+    fresh = np.sort(pts[old == 0])
+    residual[pts] = (old - alpha) % p
+    supp = supp[residual[supp] != 0]
+    return np.insert(supp, np.searchsorted(supp, fresh), fresh)
+
+
 def decompose(c: Codeword, ctx: Optional[BoundContext] = None,
               max_peels: Optional[int] = None) -> Decomposition:
     """Write a small-weight codeword as its unique hyperplane combination.
@@ -174,7 +189,9 @@ def decompose(c: Codeword, ctx: Optional[BoundContext] = None,
     if ctx is None:
         ctx = bounds.context_for(c)
     p = space.field.p
-    wt = weight(c)
+    residual = c.values.astype(np.int16)
+    supp = np.nonzero(residual)[0]
+    wt = len(supp)
     theta_h = space.theta(space.n - 1)
     flags = list(bounds.regime_flags(ctx, weight=wt))
     in_regime = not flags
@@ -191,17 +208,15 @@ def decompose(c: Codeword, ctx: Optional[BoundContext] = None,
         cap = m_est + 2
         flags.append("best-effort")
 
-    residual = c.values.astype(np.int16).copy()
     terms: dict[int, int] = {}
     tie_breaks: list[int] = []
 
     peels = 0
-    while residual.any():
+    while len(supp):
         if peels >= cap:
             raise NoDecompositionError(
                 f"residual nonzero after {peels} peels (weight {wt} may exceed W, "
                 "or the input is outside the guaranteed regime)")
-        supp = np.nonzero(residual)[0]
         found = False
         for anchor_pos in range(len(supp)):
             counts, cand_idx = _pencil_counts(space, residual, supp, anchor_pos)
@@ -209,8 +224,7 @@ def decompose(c: Codeword, ctx: Optional[BoundContext] = None,
             if 2 * best > theta_h:
                 if tie:
                     tie_breaks.append(peels)
-                pts = space.hyperplane_point_indices(hyp)
-                residual[pts] = (residual[pts] - alpha) % p
+                supp = _peel(residual, supp, space.hyperplane_point_indices(hyp), alpha, p)
                 terms[hyp] = (terms.get(hyp, 0) + alpha) % p
                 if terms[hyp] == 0:
                     del terms[hyp]
@@ -235,22 +249,32 @@ def decompose(c: Codeword, ctx: Optional[BoundContext] = None,
 
 def _union_values(d: Decomposition, blocks: Sequence[Iterable[int]]
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted union U of the term hyperplanes' points, and one row of F_p
-    values on U per block of terms: the block's partial combination.
+    """The sorted union U of the term hyperplanes' points, and one int16 row
+    of F_p values on U per block of terms: the block's partial combination.
 
     Every partial combination vanishes off U, so refinement, holes, witness
-    and oracle need no other points.  With singleton blocks the rows form the
-    m x |U| term matrix T: term r's coefficient where U[k] lies on its
-    hyperplane, else 0.
+    and oracle need no other points.  U and each term's positions in it are
+    computed once per decomposition; a row then costs one scatter per term,
+    reduced mod p term by term so that it stays below 2p.  With singleton
+    blocks the rows form the m x |U| term matrix T: term r's coefficient
+    where U[k] lies on its hyperplane, else 0.
     """
-    space = d.space
-    pts = {h: space.hyperplane_point_indices(h) for h in d.terms}
-    union = np.unique(np.concatenate(list(pts.values()))) if pts else np.zeros(0, np.int64)
-    vals = np.zeros((len(blocks), len(union)), dtype=np.int64)
-    for bi, block in enumerate(blocks):
+    p = d.space.field.p
+    union, positions = d._union_positions()
+    where = dict(zip(d.terms, positions))
+    vals = np.zeros((len(blocks), len(union)), dtype=np.int16)
+    for row, block in zip(vals, blocks):
         for h in block:
-            vals[bi, np.searchsorted(union, pts[h])] += d.terms[h]
-    return union, vals % space.field.p
+            pos = where[h]
+            row[pos] = (row[pos] + d.terms[h]) % p
+    return union, vals
+
+
+def _on_union(space: ProjectiveSpace, union: np.ndarray, values: np.ndarray) -> Codeword:
+    """The codeword with the given values on U and 0 elsewhere."""
+    out = np.zeros(space.num_points, dtype=np.int16)
+    out[union] = values
+    return Codeword(space, out)
 
 
 def build_adjacency(d: Decomposition, partition: HyperplanePartition) -> AdjacencyWitnessGraph:
@@ -337,9 +361,7 @@ def build_witness(d: Decomposition, fixpoint: HyperplanePartition,
         raise RuntimeError("witness support escapes supp(c)")
     if _is_scalar_multiple(w, cvals, p):
         raise RuntimeError("witness degenerated to a scalar multiple of c")
-    values = np.zeros(space.num_points, dtype=np.int16)
-    values[union] = w
-    return Codeword(space, values)
+    return _on_union(space, union, w)
 
 
 def _is_scalar_multiple(a: np.ndarray, b: np.ndarray, p: int) -> bool:
@@ -372,7 +394,7 @@ def oracle_minimal(d: Decomposition, cap: int = DEFAULT_ORACLE_CAP,
     wt_c = 0
     flags = []
     if m:
-        _, term_matrix = _union_values(d, [{h} for h in d.terms])
+        union, term_matrix = _union_values(d, [{h} for h in d.terms])
         indicator = (term_matrix != 0).astype(np.int64)
         coef = np.array(list(d.terms.values()), dtype=np.int64)
         c_on_union = term_matrix.sum(axis=0) % p
@@ -401,7 +423,7 @@ def oracle_minimal(d: Decomposition, cap: int = DEFAULT_ORACLE_CAP,
                 v = (betas[row] @ indicator) % p
                 if any(np.array_equal(v, (lam * c_on_union) % p) for lam in range(p)):
                     continue
-                counter, _ = combine(space, list(zip(d.terms.keys(), betas[row].tolist())))
+                counter = _on_union(space, union, v)
                 ctx = BoundContext(space.n, p, space.field.h)
                 if bounds.regime_flags(ctx, weight=wt_c):
                     flags.append("heuristic-span-restricted")

@@ -173,6 +173,13 @@ def test_json_loaders_reject_out_of_range_indices(spaces, index):
         decomposition_from_json({"terms": [[0, 1], [index, 1]]}, sp)
 
 
+def test_decomposition_loader_refuses_repeated_hyperplanes(spaces):
+    """combine would add the coefficients of a repeated hyperplane; the
+    loader refuses it rather than keeping the last one."""
+    with pytest.raises(ValueError, match="hyperplane 0 appears more than once"):
+        decomposition_from_json({"terms": [[0, 1], [0, 1]]}, spaces(2, 2, 2))
+
+
 NON_INTEGER_INPUTS = [
     (codeword_from_json, {"n": 2, "p": 2, "h": 2, "values": [[3.9, 1]]}),
     (codeword_from_json, {"n": 2, "p": 2, "h": 2, "values": [["5", 1]]}),

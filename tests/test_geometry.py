@@ -5,8 +5,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from pgcodes import combine, incidence_codeword, space_make
-from pgcodes.geometry import DEFAULT_POINT_CAP
+from pgcodes import Codeword, combine, incidence_codeword, space_make
+from pgcodes.geometry import DEFAULT_POINT_CAP, HYPERPLANE_POINTS_CACHE_ENTRIES
 
 
 def theta(m, q):
@@ -57,15 +57,29 @@ def test_enumeration_splits_at_x0(spaces, key):
 @pytest.mark.parametrize("index", [-5, -1, 21])
 def test_out_of_range_indices_are_refused(spaces, index):
     """PG(2,4) has theta(2) = 21 points and hyperplanes.  An index outside
-    [0, 21) is refused by the point sets of hyperplanes, by pencils and by the
-    codeword builders, even once hyperplane 16 (which -5 used to wrap onto)
-    is cached."""
+    [0, 21) is refused by the point sets of hyperplanes, by pencils, by the
+    point and hyperplane records, by codeword values and by the codeword
+    builders, even once hyperplane 16 (which -5 used to wrap onto) is
+    cached."""
     sp = spaces(2, 2, 2)
     sp.hyperplane_point_indices(16)
-    for call in (sp.hyperplane_point_indices, sp.pencil_indices,
+    for call in (sp.hyperplane_point_indices, sp.pencil_indices, sp.point, sp.hyperplane,
+                 Codeword.zero(sp).value,
                  lambda i: combine(sp, [(i, 1)]), lambda i: incidence_codeword(sp, i)):
         with pytest.raises(ValueError, match="out of range"):
             call(index)
+
+
+def test_hyperplane_point_cache_evicts_oldest(fields):
+    """Past its bound the cache drops its oldest entry and keeps serving
+    the newest, instead of no longer caching at all."""
+    sp = space_make(2, fields(2, 5))
+    rows = [sp.hyperplane_point_indices(h) for h in range(300)]
+    cache = sp._hyperplane_points_cache
+    assert len(cache) == HYPERPLANE_POINTS_CACHE_ENTRIES == 256
+    assert list(cache) == list(range(300 - 256, 300))
+    assert sp.hyperplane_point_indices(299) is rows[299]
+    assert np.array_equal(sp.hyperplane_point_indices(0), rows[0])
 
 
 def test_point_index_roundtrip(spaces):

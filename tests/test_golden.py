@@ -56,3 +56,28 @@ def test_golden_digest(spaces):
         records.append(_outputs(p2_fixtures(spaces(2, 2, 5), kind)[0]))
     text = json.dumps(records, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256
+
+
+GOLDEN_BENCH_SIZE_SHA256 = "152aeb5ab5418de41cb855825509200b336f4aa66627fff629457c3664c92fea"
+
+# (n, p, h, seed, term count): the benchmark's largest shapes, where the
+# peel's support bookkeeping and the union's block rows are long
+BENCH_SIZE_CASES = [
+    (2, 2, 11, 2048, 22),
+    (3, 5, 3, 103, 4),
+]
+
+
+def test_golden_digest_at_benchmark_sizes(spaces):
+    records = []
+    for n, p, h, seed, j in BENCH_SIZE_CASES:
+        cw, _ = random_combination(spaces(n, p, h), j, np.random.default_rng(seed))
+        d = decompose(cw)
+        rep = verdict(cw, with_oracle=p ** d.m <= 5 ** 6, decomposition=d)
+        record = {"decomposition": d.to_json(), "flags": list(d.flags),
+                  "tie_breaks": list(d.tie_breaks), "verdict": rep.to_json()}
+        if rep.oracle is not None and rep.oracle.counterexample is not None:
+            record["counterexample"] = rep.oracle.counterexample.to_json()
+        records.append(record)
+    text = json.dumps(records, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_BENCH_SIZE_SHA256

@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 
-from pgcodes import geometry
+from pgcodes import bounds, geometry
 from pgcodes import (BoundContext, Codeword, NoDecompositionError, combine,
                      decompose, incidence_codeword, nullspace, oracle_minimal,
                      p2_fixtures, partial_combination, refine_to_fixpoint,
                      space_make, szonyi_example, verdict, weight)
 from pgcodes.minimality import (VERDICT_MINIMAL, VERDICT_NOT_MINIMAL,
                                 VERDICT_UNDETERMINED, OracleCapExceededError,
-                                _is_scalar_multiple, build_adjacency,
+                                _best_candidate, _is_scalar_multiple,
+                                _pencil_counts, _peel, build_adjacency,
                                 build_witness, exceptional_holes,
                                 random_combination)
 
@@ -102,6 +103,102 @@ def test_decompose_above_quotient_table_cap(spaces, fields, monkeypatch, key):
         assert d.terms == d_true.terms
         assert d.tie_breaks == d_cached.tie_breaks
     assert fresh._quotient_table is None
+
+
+def _full_scan_decompose(c):
+    """Reference peel: the majority peel of `decompose`, finding the support
+    with a scan of every point before each peel.  Returns (terms, flags,
+    tie_breaks), or the start of the NoDecompositionError message."""
+    space = c.space
+    ctx = bounds.context_for(c)
+    p = space.field.p
+    wt = weight(c)
+    theta_h = space.theta(space.n - 1)
+    flags = list(bounds.regime_flags(ctx, weight=wt))
+    m_est = -(-wt // theta_h)
+    if ctx.h >= 2:
+        cap = bounds.delta(space.n, ctx) - 1
+        if flags:
+            cap = max(cap, m_est + 2)
+            flags.append("best-effort")
+    else:
+        cap = m_est + 2
+        flags.append("best-effort")
+    residual = c.values.astype(np.int64)
+    terms, tie_breaks, peels = {}, [], 0
+    while residual.any():
+        if peels >= cap:
+            return "residual nonzero"
+        supp = np.nonzero(residual)[0]
+        for anchor_pos in range(len(supp)):
+            counts, cand_idx = _pencil_counts(space, residual, supp, anchor_pos)
+            best, hyp, alpha, tie = _best_candidate(counts, cand_idx)
+            if 2 * best > theta_h:
+                break
+        else:
+            return "no hyperplane carries a strict majority"
+        if tie:
+            tie_breaks.append(peels)
+        pts = space.hyperplane_point_indices(hyp)
+        residual[pts] = (residual[pts] - alpha) % p
+        terms[hyp] = (terms.get(hyp, 0) + alpha) % p
+        if terms[hyp] == 0:
+            del terms[hyp]
+        peels += 1
+    if not flags and len(terms) != m_est and wt > 0:
+        return "internal inconsistency"
+    return {h: terms[h] for h in sorted(terms)}, tuple(flags), tuple(tie_breaks)
+
+
+@pytest.mark.parametrize("key,js", [
+    ((2, 3, 3), (1, 2, 3, 4, 6, 9)),
+    ((2, 2, 5), (1, 2, 3, 4, 6, 9)),
+    ((3, 2, 4), (1, 2, 3, 5, 7)),
+    ((4, 2, 2), (1, 2, 3, 4, 6)),
+])
+def test_decompose_matches_full_scan_peel(spaces, key, js):
+    """Terms, flags and tie-breaks of the sorted-support peel equal the full
+    scan's on seeded codewords, in and out of the regime.  At p = 2 the
+    pencil of three hyperplanes through a point (a line for n > 2) puts that
+    point on three terms: it leaves the support at the first peel through
+    it, comes back at the second and leaves again at the third.  A lone
+    point is no codeword, and both peels refuse it."""
+    sp = spaces(*key)
+    rng = np.random.default_rng(sum(key))
+    cws = [random_combination(sp, j, rng)[0] for j in js]
+    through = sp.pencil_indices(0)
+    if sp.n > 2:
+        through = np.intersect1d(through, sp.pencil_indices(1))
+    cws.append(combine(sp, [(int(h), 1) for h in np.sort(through)[:3]])[0])
+    lone = np.zeros(sp.num_points, dtype=np.int16)
+    lone[17] = 1
+    cws.append(Codeword(sp, lone))                     # no majority: an error
+    for cw in cws:
+        try:
+            d = decompose(cw)
+            got = d.terms, d.flags, d.tie_breaks
+        except NoDecompositionError as exc:
+            got = str(exc)
+        ref = _full_scan_decompose(cw)
+        if isinstance(ref, str):
+            assert isinstance(got, str) and got.startswith(ref)
+        else:
+            assert got == ref
+
+
+@pytest.mark.parametrize("p,h", [(2, 3), (3, 2), (5, 1)])
+def test_peel_keeps_support_sorted_and_exact(spaces, p, h):
+    """After each of a run of seeded peels, some of which revisit earlier
+    hyperplanes, the merged support equals a full scan of the residual."""
+    sp = spaces(2, p, h)
+    rng = np.random.default_rng(p * 10 + h)
+    residual = np.zeros(sp.num_points, dtype=np.int16)
+    supp = np.zeros(0, dtype=np.int64)
+    hyps = rng.integers(0, sp.num_hyperplanes, size=12)
+    for hyp in np.concatenate([hyps, hyps[::-1]]):
+        alpha = int(rng.integers(1, p))
+        supp = _peel(residual, supp, sp.hyperplane_point_indices(int(hyp)), alpha, p)
+        assert np.array_equal(supp, np.nonzero(residual)[0])
 
 
 def test_decompose_rejects_non_codeword(spaces):
@@ -430,6 +527,20 @@ def test_verdict_out_of_regime_single_block_undetermined(spaces):
     if rep.fixpoint.size == 1:
         assert rep.verdict == VERDICT_UNDETERMINED
         assert "q<=27" in rep.regime_flags
+
+
+def test_verdict_reads_each_term_hyperplane_once(spaces, monkeypatch):
+    """Refinement, holes, witness and an oracle counterexample share one
+    union of the term hyperplanes: a verdict on a fresh decomposition asks
+    the space for at most m hyperplane point lists."""
+    sp = spaces(3, 5, 3)
+    cw, d = random_combination(sp, 4, np.random.default_rng(103))
+    calls = []
+    lookup = sp.hyperplane_point_indices
+    monkeypatch.setattr(sp, "hyperplane_point_indices", lambda h: calls.append(h) or lookup(h))
+    rep = verdict(cw, with_oracle=True, decomposition=d)
+    assert rep.verdict == VERDICT_NOT_MINIMAL and rep.oracle.counterexample is not None
+    assert len(calls) <= d.m
 
 
 def test_report_json_shape(spaces):
