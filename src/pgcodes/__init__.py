@@ -1,5 +1,5 @@
 """Hyperplane incidence codes of PG(n, q): construction, small-weight
-decomposition, and minimality analysis with an exhaustive oracle."""
+decomposition, and minimality analysis with an exact oracle."""
 
 __version__ = "0.1.0"
 

@@ -21,16 +21,7 @@ import numpy as np
 
 from .ff import is_prime
 from .codes import Codeword, restricted_weight, support
-from .geometry import _CHUNK_ENTRIES, SubspacePointSet
-
-
-def theta(m: int, q: int) -> int:
-    """(q^(m+1) - 1)/(q - 1) for m >= 0; zero for m in {-1, -2}."""
-    if m < -2:
-        raise ValueError("theta undefined for m < -2")
-    if m < 0:
-        return 0
-    return (q ** (m + 1) - 1) // (q - 1)
+from .geometry import _CHUNK_ENTRIES, SubspacePointSet, theta
 
 
 @dataclass(frozen=True)

@@ -152,9 +152,6 @@ class Decomposition:
         key = h.index if isinstance(h, Hyperplane) else int(h)
         return self.terms.get(key, 0)
 
-    def hyperplane_indices(self) -> tuple[int, ...]:
-        return tuple(self.terms)
-
     def to_json(self) -> dict:
         return {"terms": [[h, c] for h, c in self.terms.items()]}
 

@@ -189,11 +189,12 @@ class Field:
         self.q = p ** h
         if modulus is None:
             modulus = lowest_irreducible(p, h)
-        modulus = [c % p for c in modulus]
-        if len(modulus) != h + 1 or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree h")
-        if not is_irreducible(modulus, p):
-            raise ValueError(f"modulus {modulus} is reducible over F_{p}")
+        else:
+            modulus = [c % p for c in modulus]
+            if len(modulus) != h + 1 or modulus[-1] != 1:
+                raise ValueError("modulus must be monic of degree h")
+            if not is_irreducible(modulus, p):
+                raise ValueError(f"modulus {modulus} is reducible over F_{p}")
         self.modulus = tuple(modulus)
         self._build_tables()
         self._spot_check_order()

@@ -40,9 +40,10 @@ QUOTIENT_TABLE_CAP_BYTES = 256 << 20
 _CHUNK_ENTRIES = 1 << 18
 
 
-def _theta_int(m: int, q: int) -> int:
+def theta(m: int, q: int) -> int:
+    """(q^(m+1) - 1)/(q - 1) for m >= 0; zero for m in {-1, -2}."""
     if m < -2:
-        raise ValueError("theta undefined below m = -2")
+        raise ValueError("theta undefined for m < -2")
     if m < 0:
         return 0
     return (q ** (m + 1) - 1) // (q - 1)
@@ -82,11 +83,11 @@ class _Enumeration:
         q = field.q
         self.field = field
         self.dim = dim
-        self.size = _theta_int(dim, q)
+        self.size = theta(dim, q)
         # weights[j] = q^(dim-j); theta_prefix[m+1] = theta_m for m in [-1, dim]
         self.weights = (q ** np.arange(dim, -1, -1)).astype(np.int64)
         self.theta_prefix = np.array(
-            [_theta_int(m, q) for m in range(-1, dim + 1)], dtype=np.int64)
+            [theta(m, q) for m in range(-1, dim + 1)], dtype=np.int64)
 
         # the rows with the leading 1 at k count t = 0, 1, ... in base q over
         # the coordinates after k; each digit of t is written through a
@@ -118,11 +119,6 @@ class _Enumeration:
         k = nz.argmax(axis=1)
         fullsum = rows64 @ self.weights
         return self.theta_prefix[self.dim - k] + fullsum - self.weights[k]
-
-    def coords_of(self, idx: int) -> np.ndarray:
-        if not 0 <= idx < self.size:
-            raise IndexError(f"index {idx} out of range for size {self.size}")
-        return self.table[idx]
 
 
 def _chunk_slices(count: int, row_len: int) -> Iterator[slice]:
@@ -183,7 +179,7 @@ class ProjectiveSpace:
         return self._enum.size
 
     def theta(self, m: int) -> int:
-        return _theta_int(m, self.q)
+        return theta(m, self.q)
 
     @property
     def point_table(self) -> np.ndarray:
@@ -195,12 +191,12 @@ class ProjectiveSpace:
         return self._enum.table
 
     def point(self, index: int) -> ProjPoint:
-        coords = tuple(int(c) for c in self._enum.coords_of(self._checked_index(index, "point")))
+        coords = tuple(int(c) for c in self.point_table[self._checked_index(index, "point")])
         return ProjPoint(coords, index)
 
     def hyperplane(self, index: int) -> Hyperplane:
         coords = tuple(int(c) for c in
-                       self._enum.coords_of(self._checked_index(index, "hyperplane")))
+                       self.hyperplane_table[self._checked_index(index, "hyperplane")])
         return Hyperplane(coords, index)
 
     def normalize(self, coords: Sequence[int]) -> tuple[int, ...]:
@@ -223,13 +219,13 @@ class ProjectiveSpace:
     def _coords_of_point(self, p: Union[ProjPoint, int]) -> np.ndarray:
         if isinstance(p, ProjPoint):
             return np.asarray(p.coords, dtype=np.int16)
-        return self._enum.coords_of(int(p))
+        return self.point_table[self._checked_index(int(p), "point")]
 
     def incident(self, p: Union[ProjPoint, int], h: Union[Hyperplane, int]) -> bool:
         """True iff the GF(q) dot product of point and dual vector vanishes."""
         pc = self._coords_of_point(p)
         hc = (np.asarray(h.dual_coords, dtype=np.int16) if isinstance(h, Hyperplane)
-              else self._enum.coords_of(int(h)))
+              else self.hyperplane_table[self._checked_index(int(h), "hyperplane")])
         f = self.field
         acc = 0
         for a, b in zip(pc, hc):
@@ -402,7 +398,7 @@ class ProjectiveSpace:
             return
         reps = self._get_enum(self.n - 1).table
         for i in range(self.num_points):
-            pc = self._enum.coords_of(i)
+            pc = self.point_table[i]
             # directions: the points of PG(n-1, q) with a 0 inserted at pc's leading 1
             dirs = np.insert(reps, int(np.argmax(pc != 0)), 0, axis=1)
             for d in range(dirs.shape[0]):

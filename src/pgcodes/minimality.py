@@ -7,8 +7,8 @@ theta(n-1) points of equal nonzero value, and subtracting it shrinks the
 problem.  The partition machinery then refines the singleton partition of
 the terms along a hole-witness adjacency graph to a fixpoint; the size of
 the fixpoint and of its exceptional hole set decide minimality, with a
-constructive witness in the non-minimal case and an exhaustive oracle as an
-independent cross-check.
+constructive witness in the non-minimal case and an exact oracle (linear
+algebra over F_p on the span of the terms) as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ from .ff import nullspace
 from .geometry import ProjectiveSpace, _chunk_slices
 
 DEFAULT_ORACLE_CAP = 100_000_000
+# `combinations_checked` counts coefficient vectors in blocks of this size
+_ORACLE_BLOCK = 1 << 15
 
 
 class NoDecompositionError(ValueError):
@@ -32,7 +34,11 @@ class NoDecompositionError(ValueError):
 
 
 class OracleCapExceededError(ValueError):
-    """Raised when p^m exceeds the exhaustive-search budget."""
+    """Raised when p^m exceeds the oracle's budget."""
+
+
+class NoWitnessError(RuntimeError):
+    """Raised when no solution of the hole system escapes span(c)."""
 
 
 VERDICT_MINIMAL = "Minimal"
@@ -66,9 +72,6 @@ class AdjacencyWitnessGraph:
 
     num_vertices: int
     edges: tuple[tuple[int, int, int], ...]  # (block_i, block_j, witness point)
-
-    def edge_pairs(self) -> set[tuple[int, int]]:
-        return {(a, b) for a, b, _ in self.edges}
 
 
 @dataclass(frozen=True)
@@ -338,100 +341,87 @@ def exceptional_holes(d: Decomposition, fixpoint: HyperplanePartition) -> tuple[
 
 def build_witness(d: Decomposition, fixpoint: HyperplanePartition,
                   holes: Sequence[int]) -> Codeword:
-    """Solve the hole system and return a subsupport codeword that is not a
-    scalar multiple of c.  Requires |holes| <= |blocks| - 2."""
+    """Solve the hole system for a subsupport codeword that is not a scalar
+    multiple of c.  Requires |holes| <= |blocks| - 2; raises NoWitnessError
+    when every solution is proportional to c."""
     nblocks = fixpoint.size
     r = len(holes)
     if r > nblocks - 2:
         raise ValueError(f"witness construction needs r <= blocks - 2 (r={r}, blocks={nblocks})")
-    space = d.space
-    p = space.field.p
+    p = d.space.field.p
     union, vals = _union_values(d, fixpoint.blocks)
-    # a hole off U would only add a zero equation
-    on_union = np.isin(union, np.asarray(holes, dtype=np.int64))
-    basis = nullspace(vals[:, on_union].T, p, nblocks)
-    # the first basis vector not proportional to the all-ones vector
-    chosen = next((vec for vec in basis if len(set(vec)) > 1), None)
-    if chosen is None:
-        raise RuntimeError("null space contained no vector independent of all-ones")
-    w = (np.asarray(chosen, dtype=np.int64) @ vals) % p
-
     cvals = vals.sum(axis=0) % p
+    # a hole off U would only add a zero equation
+    found = _first_escape(vals, np.isin(union, np.asarray(holes, dtype=np.int64)), cvals, p)
+    if found is None:
+        raise NoWitnessError("every solution of the hole system is a scalar multiple of c")
+    w = found[1]
     if np.any((w != 0) & (cvals == 0)):
         raise RuntimeError("witness support escapes supp(c)")
-    if _is_scalar_multiple(w, cvals, p):
-        raise RuntimeError("witness degenerated to a scalar multiple of c")
-    return _on_union(space, union, w)
+    return _on_union(d.space, union, w)
 
 
 def _is_scalar_multiple(a: np.ndarray, b: np.ndarray, p: int) -> bool:
-    for lam in range(p):
-        if np.array_equal(a, (lam * b.astype(np.int64)) % p):
-            return True
-    return False
+    """True iff a = lam * b (mod p) for some lam in F_p, with a reduced."""
+    b = np.asarray(b, dtype=np.int64)
+    nz = np.flatnonzero(b)
+    lam = int(a[nz[0]]) * pow(int(b[nz[0]]), -1, p) % p if len(nz) else 0
+    return np.array_equal(a, lam * b % p)
+
+
+def _first_escape(rows: np.ndarray, mask: np.ndarray, c: np.ndarray, p: int
+                  ) -> Optional[tuple[tuple[int, ...], np.ndarray]]:
+    """The first beta in the null space of rows' masked columns whose values
+    beta . rows (mod p) are not a multiple of c, with those values, or None.
+
+    `nullspace` lists one basis vector per free coordinate f, in increasing
+    f; it is 1 at f and 0 above it, and the others are 0 at f.  So with k =
+    sum beta_i p^i, a kernel vector of lower k than the first basis vector
+    that escapes span(c) combines earlier ones and stays in span(c).
+    """
+    # a repeated column repeats an equation; the basis is the same in any order
+    cols = list(set(map(tuple, rows[:, mask].T.tolist())))
+    for beta in nullspace(cols, p, len(rows)):
+        values = (np.asarray(beta, dtype=np.int64) @ rows) % p
+        if not _is_scalar_multiple(values, c, p):
+            return beta, values
+    return None
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive oracle
+# Oracle
 # ---------------------------------------------------------------------------
 
-def oracle_minimal(d: Decomposition, cap: int = DEFAULT_ORACLE_CAP,
-                   chunk: int = 1 << 15) -> OracleResult:
-    """Brute-force minimality: enumerate every coefficient vector in F_p^m.
+def oracle_minimal(d: Decomposition, cap: int = DEFAULT_ORACLE_CAP) -> OracleResult:
+    """Minimality within the span of the decomposition's hyperplanes.
 
-    A combination c' of the decomposition's hyperplanes has supp(c') inside
-    supp(c) iff it vanishes on every hole of c lying on the union of the
-    hyperplanes.  The verdict is exact in the guaranteed regime (support
-    subsets cannot involve outside hyperplanes there); otherwise the result
-    is flagged heuristic, though a found counterexample is definitive.
+    sum beta_i [H_i] keeps inside supp(c) iff it vanishes on the holes of c
+    on U, so these beta are the null space of the hole columns of the 0/1
+    term matrix, and c is minimal in the span iff all give values
+    proportional to c.  The counterexample is the first that enumerating
+    F_p^m by k = sum beta_i p^i would meet, and `combinations_checked` the
+    nominal count that enumeration reaches in blocks of 2^15; p^m stays
+    capped.  Exact in the guaranteed regime (support subsets cannot involve
+    outside hyperplanes there); otherwise flagged heuristic, though a found
+    counterexample is definitive.
     """
     space = d.space
     p = space.field.p
-    m = d.m
-    total = p ** m
+    total = p ** d.m
     if total > cap:
         raise OracleCapExceededError(f"p^m = {total} exceeds the oracle cap {cap}")
-    wt_c = 0
-    flags = []
-    if m:
-        union, term_matrix = _union_values(d, [{h} for h in d.terms])
-        indicator = (term_matrix != 0).astype(np.int64)
-        coef = np.array(list(d.terms.values()), dtype=np.int64)
-        c_on_union = term_matrix.sum(axis=0) % p
-        hole_cols = np.nonzero(c_on_union == 0)[0]
-        wt_c = int(np.count_nonzero(c_on_union))
-        scalar_rows = {tuple((lam * coef) % p) for lam in range(p)}
-
-        checked = 0
-        powers = p ** np.arange(m, dtype=np.int64)
-        ind_holes = indicator[:, hole_cols]
-        for start in range(0, total, chunk):
-            stop = min(total, start + chunk)
-            ks = np.arange(start, stop, dtype=np.int64)
-            betas = (ks[:, None] // powers[None, :]) % p
-            checked = stop
-            if len(hole_cols):
-                inside = ((betas @ ind_holes) % p == 0).all(axis=1)
-            else:
-                inside = np.ones(len(ks), dtype=bool)
-            for row in np.nonzero(inside)[0]:
-                beta = tuple(int(x) for x in betas[row])
-                if beta in scalar_rows:
-                    continue
-                # value-level check: a coefficient mismatch could still give
-                # a proportional value vector outside the unique regime
-                v = (betas[row] @ indicator) % p
-                if any(np.array_equal(v, (lam * c_on_union) % p) for lam in range(p)):
-                    continue
-                counter = _on_union(space, union, v)
-                ctx = BoundContext(space.n, p, space.field.h)
-                if bounds.regime_flags(ctx, weight=wt_c):
-                    flags.append("heuristic-span-restricted")
-                return OracleResult(False, checked, counter, tuple(flags))
+    union, term_matrix = _union_values(d, [{h} for h in d.terms])
+    c_on_union = term_matrix.sum(axis=0) % p
+    found = _first_escape(term_matrix != 0, c_on_union == 0, c_on_union, p)
+    checked, counter = total, None
+    if found is not None:
+        k = sum(b * p ** i for i, b in enumerate(found[0]))
+        checked = min(total, (k // _ORACLE_BLOCK + 1) * _ORACLE_BLOCK)
+        counter = _on_union(space, union, found[1])
     ctx = BoundContext(space.n, p, space.field.h)
-    if bounds.regime_flags(ctx, weight=wt_c):
-        flags.append("heuristic-span-restricted")
-    return OracleResult(True, total, None, tuple(flags))
+    heuristic = bounds.regime_flags(ctx, weight=int(np.count_nonzero(c_on_union)))
+    return OracleResult(counter is None, checked, counter,
+                        ("heuristic-span-restricted",) if heuristic else ())
 
 
 # ---------------------------------------------------------------------------
@@ -444,9 +434,10 @@ def verdict(c: Codeword, ctx: Optional[BoundContext] = None,
     """Run the full minimality pipeline on a codeword.
 
     Minimal:    fixpoint has one block (only asserted inside the regime).
-    NotMinimal: the exceptional-hole count is at most blocks - 2; the emitted
-                witness re-verifies its postconditions, so this verdict stands
-                even outside the regime.
+    NotMinimal: the exceptional-hole count is at most blocks - 2 and a
+                witness is found; it re-verifies its postconditions, so this
+                verdict stands even outside the regime.  If no witness
+                exists, Undetermined with the flag "no-witness".
     Otherwise Undetermined, optionally accompanied by the oracle's answer.
     """
     space = c.space
@@ -472,8 +463,11 @@ def verdict(c: Codeword, ctx: Optional[BoundContext] = None,
         if not in_regime:
             flags.append("single-block-outside-regime")
     elif len(holes) <= fixpoint.size - 2:
-        witness = build_witness(d, fixpoint, holes)
-        verdict_str = VERDICT_NOT_MINIMAL
+        try:
+            witness = build_witness(d, fixpoint, holes)
+        except NoWitnessError:
+            flags.append("no-witness")
+        verdict_str = VERDICT_UNDETERMINED if witness is None else VERDICT_NOT_MINIMAL
     else:
         verdict_str = VERDICT_UNDETERMINED
 

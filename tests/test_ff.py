@@ -35,6 +35,20 @@ def test_field_rejects_bad_parameters():
         field_make(5, 2, modulus=[1, 0, 1])
 
 
+def test_default_modulus_is_tested_for_irreducibility_once(monkeypatch):
+    """The lowest irreducible is not re-tested by the field build; a
+    modulus the caller supplies is."""
+    calls = []
+    test = ff.is_irreducible
+    monkeypatch.setattr(ff, "is_irreducible", lambda f, p: calls.append(f) or test(f, p))
+    ff.lowest_irreducible(2, 6)
+    searched = len(calls)
+    assert field_make(2, 6).modulus == tuple(calls[-1])
+    assert len(calls) == 2 * searched
+    field_make(2, 6, modulus=calls[-1])
+    assert len(calls) == 2 * searched + 1
+
+
 @pytest.mark.parametrize("p,h", [(2, 13), (4099, 1), (2, 10 ** 9), (2 ** 61 - 1, 1)])
 def test_field_above_max_q_is_refused_before_any_work(monkeypatch, p, h):
     """q > 4096 is refused before the primality test, the irreducible search

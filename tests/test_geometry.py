@@ -58,14 +58,16 @@ def test_enumeration_splits_at_x0(spaces, key):
 def test_out_of_range_indices_are_refused(spaces, index):
     """PG(2,4) has theta(2) = 21 points and hyperplanes.  An index outside
     [0, 21) is refused by the point sets of hyperplanes, by pencils, by the
-    point and hyperplane records, by codeword values and by the codeword
-    builders, even once hyperplane 16 (which -5 used to wrap onto) is
-    cached."""
+    point and hyperplane records, by codeword values, by the codeword
+    builders and by incidence, lines and spans, even once hyperplane 16
+    (which -5 used to wrap onto) is cached."""
     sp = spaces(2, 2, 2)
     sp.hyperplane_point_indices(16)
     for call in (sp.hyperplane_point_indices, sp.pencil_indices, sp.point, sp.hyperplane,
                  Codeword.zero(sp).value,
-                 lambda i: combine(sp, [(i, 1)]), lambda i: incidence_codeword(sp, i)):
+                 lambda i: combine(sp, [(i, 1)]), lambda i: incidence_codeword(sp, i),
+                 lambda i: sp.incident(i, 0), lambda i: sp.incident(0, i),
+                 lambda i: sp.line_through(i, 3), lambda i: sp.span_points([0, i])):
         with pytest.raises(ValueError, match="out of range"):
             call(index)
 

@@ -4,16 +4,18 @@ import numpy as np
 import pytest
 
 from pgcodes import bounds, geometry
-from pgcodes import (BoundContext, Codeword, NoDecompositionError, combine,
-                     decompose, incidence_codeword, nullspace, oracle_minimal,
+from pgcodes import (BoundContext, Codeword, Decomposition,
+                     NoDecompositionError, OracleResult, combine, decompose,
+                     incidence_codeword, nullspace, oracle_minimal,
                      p2_fixtures, partial_combination, refine_to_fixpoint,
                      space_make, szonyi_example, verdict, weight)
-from pgcodes.minimality import (VERDICT_MINIMAL, VERDICT_NOT_MINIMAL,
-                                VERDICT_UNDETERMINED, OracleCapExceededError,
-                                _best_candidate, _is_scalar_multiple,
-                                _pencil_counts, _peel, build_adjacency,
-                                build_witness, exceptional_holes,
-                                random_combination)
+from pgcodes.minimality import (DEFAULT_ORACLE_CAP, VERDICT_MINIMAL,
+                                VERDICT_NOT_MINIMAL, VERDICT_UNDETERMINED,
+                                NoWitnessError, OracleCapExceededError,
+                                _best_candidate, _is_scalar_multiple, _on_union,
+                                _pencil_counts, _peel, _union_values,
+                                build_adjacency, build_witness,
+                                exceptional_holes, random_combination)
 
 
 def _assert_witness_valid(witness, cw):
@@ -422,6 +424,21 @@ def test_build_witness_two_blocks_no_holes(spaces):
     assert w == partial_combination(d, [3]) or w == partial_combination(d, [11])
 
 
+def test_verdict_without_witness_is_undetermined(spaces):
+    """A decomposition whose hole count allows a witness, but whose hole
+    system has only multiples of c as solutions: verdict reports
+    Undetermined with "no-witness", and build_witness raises."""
+    sp = spaces(4, 2, 1)
+    cw, d = combine(sp, [(4, 1), (7, 1), (9, 1), (16, 1), (29, 1)])
+    rep = verdict(cw, decomposition=d)
+    assert len(rep.exceptional_holes) <= rep.fixpoint.size - 2
+    assert rep.verdict == VERDICT_UNDETERMINED and rep.witness is None
+    assert "no-witness" in rep.regime_flags
+    with pytest.raises(NoWitnessError):
+        build_witness(d, rep.fixpoint, rep.exceptional_holes)
+    assert oracle_minimal(d).minimal is True
+
+
 def test_build_witness_precondition(spaces):
     sp = spaces(2, 5, 3)
     cw, _ = szonyi_example(sp)
@@ -475,6 +492,144 @@ def test_p2_triangle_observation_recorded(spaces):
 # ---------------------------------------------------------------------------
 # oracle
 # ---------------------------------------------------------------------------
+
+# The enumeration that `oracle_minimal` replaced, kept as its reference.
+def _brute_force_oracle(d: Decomposition, cap: int = DEFAULT_ORACLE_CAP,
+                        chunk: int = 1 << 15) -> OracleResult:
+    """Brute-force minimality: enumerate every coefficient vector in F_p^m.
+
+    A combination c' of the decomposition's hyperplanes has supp(c') inside
+    supp(c) iff it vanishes on every hole of c lying on the union of the
+    hyperplanes.  The verdict is exact in the guaranteed regime (support
+    subsets cannot involve outside hyperplanes there); otherwise the result
+    is flagged heuristic, though a found counterexample is definitive.
+    """
+    space = d.space
+    p = space.field.p
+    m = d.m
+    total = p ** m
+    if total > cap:
+        raise OracleCapExceededError(f"p^m = {total} exceeds the oracle cap {cap}")
+    wt_c = 0
+    flags = []
+    if m:
+        union, term_matrix = _union_values(d, [{h} for h in d.terms])
+        indicator = (term_matrix != 0).astype(np.int64)
+        coef = np.array(list(d.terms.values()), dtype=np.int64)
+        c_on_union = term_matrix.sum(axis=0) % p
+        hole_cols = np.nonzero(c_on_union == 0)[0]
+        wt_c = int(np.count_nonzero(c_on_union))
+        scalar_rows = {tuple((lam * coef) % p) for lam in range(p)}
+
+        checked = 0
+        powers = p ** np.arange(m, dtype=np.int64)
+        ind_holes = indicator[:, hole_cols]
+        for start in range(0, total, chunk):
+            stop = min(total, start + chunk)
+            ks = np.arange(start, stop, dtype=np.int64)
+            betas = (ks[:, None] // powers[None, :]) % p
+            checked = stop
+            if len(hole_cols):
+                inside = ((betas @ ind_holes) % p == 0).all(axis=1)
+            else:
+                inside = np.ones(len(ks), dtype=bool)
+            for row in np.nonzero(inside)[0]:
+                beta = tuple(int(x) for x in betas[row])
+                if beta in scalar_rows:
+                    continue
+                # value-level check: a coefficient mismatch could still give
+                # a proportional value vector outside the unique regime
+                v = (betas[row] @ indicator) % p
+                if any(np.array_equal(v, (lam * c_on_union) % p) for lam in range(p)):
+                    continue
+                counter = _on_union(space, union, v)
+                ctx = BoundContext(space.n, p, space.field.h)
+                if bounds.regime_flags(ctx, weight=wt_c):
+                    flags.append("heuristic-span-restricted")
+                return OracleResult(False, checked, counter, tuple(flags))
+    ctx = BoundContext(space.n, p, space.field.h)
+    if bounds.regime_flags(ctx, weight=wt_c):
+        flags.append("heuristic-span-restricted")
+    return OracleResult(True, total, None, tuple(flags))
+
+
+def _oracle_cases(spaces):
+    """Seeded decompositions: random combinations, pencils (hyperplanes
+    through a point), codim-2 stars (through a line of PG(3,q), a plane of
+    PG(4,q)), both p = 2 fixtures, and the four lines of PG(2,2) that miss
+    a point, whose sum is 0 at p = 2."""
+    rng = np.random.default_rng(1201)
+    for key in ((2, 2, 1), (2, 3, 1), (2, 2, 2), (2, 5, 1), (2, 7, 1), (2, 3, 2),
+                (2, 2, 3), (3, 2, 1), (3, 3, 1), (4, 2, 1), (4, 3, 1)):
+        sp = spaces(*key)
+        p = sp.field.p
+        mmax = min(sp.num_hyperplanes, 12 if p == 2 else {3: 7, 5: 5, 7: 4}[p])
+        for _ in range(34):
+            yield random_combination(sp, int(rng.integers(1, mmax + 1)), rng)[1]
+        for k in range(6):
+            # k % 3 + 1 points: a pencil, then stars through a line and a plane
+            pts = rng.choice(sp.num_points, size=min(k % 3 + 1, sp.n - 1), replace=False)
+            through = sp.pencil_indices(int(pts[0]))
+            for pt in pts[1:]:
+                through = np.intersect1d(through, sp.pencil_indices(int(pt)))
+            j = int(rng.integers(2, min(mmax, len(through)) + 1))
+            pick = rng.choice(through, size=j, replace=False)
+            yield combine(sp, [(int(h), int(rng.integers(1, p))) for h in pick])[1]
+    for kind in ("pencil", "no-hole-line"):
+        yield decompose(p2_fixtures(spaces(2, 2, 5), kind)[0])
+    sp = spaces(2, 2, 1)
+    yield Decomposition(sp, {h: 1 for h in range(7) if h not in sp.pencil_indices(0)})
+
+
+def test_oracle_matches_brute_force(spaces):
+    """Differential check of the linear-algebra oracle against the
+    enumeration: answer, nominal count, counterexample and flags."""
+    cases = minimal = 0
+    for d in _oracle_cases(spaces):
+        got, want = oracle_minimal(d), _brute_force_oracle(d)
+        assert (got.minimal, got.combinations_checked, got.flags) == \
+            (want.minimal, want.combinations_checked, want.flags), d
+        if want.counterexample is None:
+            assert got.counterexample is None
+        else:
+            assert got.counterexample == want.counterexample, d
+        cases += 1
+        minimal += got.minimal
+    assert cases >= 400 and 0 < minimal < cases
+
+
+def test_oracle_zero_sum_decomposition(spaces):
+    """Terms that sum to the zero codeword: every hole-vanishing combination
+    is 0 on U, so the span holds no counterexample."""
+    sp = spaces(2, 2, 1)
+    d = Decomposition(sp, {h: 1 for h in range(7) if h not in sp.pencil_indices(0)})
+    assert d.m == 4 and combine(sp, d.terms.items())[0].is_zero()
+    res = oracle_minimal(d)
+    assert res.minimal is True and res.combinations_checked == 16
+    assert res == _brute_force_oracle(d)
+
+
+def test_verdict_agrees_with_oracle_at_large_m(spaces):
+    """In-regime PG(2,2048) codewords of 30 and 40 lines, beyond any
+    enumeration of 2^m vectors: random lines (Minimal) and pencils, whose
+    common point is the only hole (NotMinimal)."""
+    sp = spaces(2, 2, 11)
+    rng = np.random.default_rng(1240)
+    seen = set()
+    for m in (30, 40):
+        _, rand = random_combination(sp, m, rng)
+        _, pencil = combine(sp, [(int(h), 1) for h in sp.pencil_indices(7)[:m]])
+        for d in (rand, pencil):
+            cw = combine(sp, d.terms.items())[0]
+            rep = verdict(cw, decomposition=d)
+            res = oracle_minimal(d, cap=2 ** 40)
+            assert rep.regime_flags == () and res.flags == ()
+            assert res.minimal == (rep.verdict == VERDICT_MINIMAL)
+            if not res.minimal:
+                _assert_witness_valid(res.counterexample, cw)
+                _assert_witness_valid(rep.witness, cw)
+            seen.add(rep.verdict)
+    assert seen == {VERDICT_MINIMAL, VERDICT_NOT_MINIMAL}
 
 def test_oracle_single_term_always_minimal(spaces):
     sp = spaces(2, 5, 3)
