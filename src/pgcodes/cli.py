@@ -122,7 +122,11 @@ def _build_from_spec(spec: dict, cap_points: Optional[int]):
         cw, info = minimality.p2_fixtures(space, fixture)
     elif fixture == "random-j":
         j = _spec_key(spec, "j")
+        if not 0 <= j <= space.num_hyperplanes:
+            raise ValueError(f"j must lie in [0, {space.num_hyperplanes}], got {j}")
         seed = codes.checked_int(spec.get("seed", 0), "seed")
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
         rng = np.random.default_rng(seed)
         cw, d = minimality.random_combination(space, j, rng)
         info = {"terms": d.to_json()["terms"], "seed": seed}

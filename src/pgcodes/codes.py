@@ -13,7 +13,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .geometry import Hyperplane, ProjectiveSpace, SubspacePointSet
+from .geometry import Hyperplane, ProjectiveSpace, SubspacePointSet, _chunk_slices
 
 
 class Codeword:
@@ -132,8 +132,10 @@ class Decomposition:
         positions, so no per-term search is needed.
         """
         if self._union is None:
-            pts = [self.space.hyperplane_point_indices(h) for h in self.terms]
-            flat = np.concatenate(pts) if pts else np.zeros(0, dtype=np.int64)
+            sp = self.space
+            rows = sp._orthogonal_indices(
+                sp.n, [sp._checked_index(h, "hyperplane") for h in self.terms])
+            flat = rows.ravel()
             order = np.argsort(flat)
             ordered = flat[order]
             first = np.ones(len(ordered), dtype=bool)
@@ -141,7 +143,7 @@ class Decomposition:
             union = ordered[first]
             positions = np.empty(len(flat), dtype=np.int64)
             positions[order] = np.cumsum(first) - 1
-            positions = positions.reshape(len(pts), self.space.theta(self.space.n - 1))
+            positions = positions.reshape(rows.shape)
             union.setflags(write=False)
             positions.setflags(write=False)
             self._union = (union, positions)
@@ -205,7 +207,8 @@ def combine(space: ProjectiveSpace,
 
 
 def _accumulate(space: ProjectiveSpace, terms: dict[int, int]) -> np.ndarray:
-    """int16 values of sum coef * [hyperplane], reduced mod p term by term.
+    """int16 values of sum coef * [hyperplane], reduced mod p term by term,
+    with the term rows taken from the primitive in `_chunk_slices` blocks.
 
     Each partial sum stays below 2p, so no dense int64 vector is needed: at
     PG(3,125) one costs 15.7 MB, and the freed temporaries left the peak RSS
@@ -213,9 +216,11 @@ def _accumulate(space: ProjectiveSpace, terms: dict[int, int]) -> np.ndarray:
     """
     p = space.field.p
     vals = np.zeros(space.num_points, dtype=np.int16)
-    for hidx, coef in terms.items():
-        pts = space.hyperplane_point_indices(hidx)
-        vals[pts] = (vals[pts] + int(coef) % p) % p
+    keys = [space._checked_index(int(h), "hyperplane") for h in terms]
+    coefs = [int(c) % p for c in terms.values()]
+    for sl in _chunk_slices(len(keys), space.theta(space.n - 1)):
+        for pts, coef in zip(space._orthogonal_indices(space.n, keys[sl]), coefs[sl]):
+            vals[pts] = (vals[pts] + coef) % p
     return vals
 
 

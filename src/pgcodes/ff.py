@@ -286,12 +286,6 @@ class Field:
     def add(self, a: int, b: int) -> int:
         return int(self.add_table[a, b])
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
-    def neg(self, a: int) -> int:
-        return int(self._neg[a])
-
     def mul(self, a: int, b: int) -> int:
         return int(self.mul_table[a, b])
 

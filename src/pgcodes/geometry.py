@@ -20,7 +20,6 @@ basis matrix, which keeps every enumeration a handful of table gathers.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
@@ -30,8 +29,6 @@ from .ff import Field
 
 DEFAULT_POINT_CAP = 10_000_000
 DEFAULT_LINE_CAP = 5_000_000
-# hyperplane point lists kept per space, oldest evicted first
-HYPERPLANE_POINTS_CACHE_ENTRIES = 256
 # The quotient pencil table (see `ProjectiveSpace._quotient_rows`) is kept
 # while its int32 entries fit this many bytes: 7.9 MB at PG(3,125), 152 MB
 # at PG(4,32).  Above it the rows are computed on each call.
@@ -156,9 +153,6 @@ class ProjectiveSpace:
         self.q = q
         self._enums: dict[int, _Enumeration] = {}
         self._enum = self._get_enum(n)
-        # popitem(last=False) evicts the oldest entry in one call, so two
-        # threads evicting at once never pick the same key
-        self._hyperplane_points_cache: OrderedDict[int, np.ndarray] = OrderedDict()
         self._quotient_table: Optional[np.ndarray] = None
 
     # -- basics ---------------------------------------------------------------
@@ -241,31 +235,13 @@ class ProjectiveSpace:
         raw = _f_matmul(self.field, tuples, basis_rows)
         return self._enum.index_rows(self._enum.normalize_rows(raw))
 
-    def _rank(self, rows: Sequence[Sequence[int]]) -> int:
-        f = self.field
-        m = [[int(v) for v in r] for r in rows]
-        ncols = len(m[0])
-        rank = 0
-        for c in range(ncols):
-            piv = next((r for r in range(rank, len(m)) if m[r][c] != 0), None)
-            if piv is None:
-                continue
-            m[rank], m[piv] = m[piv], m[rank]
-            inv = f.inv(m[rank][c])
-            m[rank] = [f.mul(inv, v) for v in m[rank]]
-            for r in range(len(m)):
-                if r != rank and m[r][c] != 0:
-                    fac = m[r][c]
-                    m[r] = [f.sub(v, f.mul(fac, w)) for v, w in zip(m[r], m[rank])]
-            rank += 1
-        return rank
-
     def span_points(self, basis: Sequence[Union[ProjPoint, int]]) -> SubspacePointSet:
         """Point set of the projective span of independent points."""
         rows = np.vstack([self._coords_of_point(b) for b in basis])
-        if self._rank(rows) != len(rows):
-            raise ValueError("basis points are linearly dependent")
-        idx = np.sort(self.span_indices(rows))
+        try:
+            idx = np.sort(self.span_indices(rows))
+        except ValueError:          # a dependent basis spans a zero vector
+            raise ValueError("basis points are linearly dependent") from None
         basis_idx = tuple(
             b.index if isinstance(b, ProjPoint) else int(b) for b in basis)
         return SubspacePointSet(len(rows) - 1, basis_idx,
@@ -278,25 +254,41 @@ class ProjectiveSpace:
         whose row i lists the points x with x . y_i = 0.
 
         By duality a row is both the points on hyperplane y_i and the
-        hyperplanes through point y_i.  Entry k of row i takes the k-th point
-        of PG(dim-1, q) as its coordinates off the leading position j0 of
-        y_i, and solves x . y_i = 0 for coordinate j0.  The ys are grouped by
-        j0, so each group is one vectorised pass.
+        hyperplanes through point y_i.  With j the trailing nonzero position
+        of y, entry t of its row is the point x whose coordinates off j form
+        the t-th point of PG(dim-1, q), with x_j = sum c_i x_i and
+        c_i = -y_i / y_j; as c_i = 0 past j, that x is already canonical.
+        The first theta(dim-j-1) entries lead after j, so x_j = 0 and entry
+        t is point t.  The others lead before j: their coordinates before j
+        are the u-th point of PG(j-1, q), those after j count b = 0 .. w-1
+        with w = q^(dim-j), and the index is theta(dim-j-1)
+        + w (1 + q u + x_j) + b.  x_j is built for every u with one
+        add_table broadcast per coordinate before j.  The ys are grouped by j.
         """
-        enum = self._get_enum(dim)
-        tuples = self._get_enum(dim - 1).table
-        coords = enum.table[np.asarray(ys, dtype=np.int64)]
-        lead = (coords != 0).argmax(axis=1)
-        minus = self.field.mul_table[self.field.p - 1]   # -1 is encoded as p - 1
-        out = np.empty((len(coords), len(tuples)), dtype=np.int64)
-        for j0 in np.unique(lead):
-            sel = np.nonzero(lead == j0)[0]
-            raw = np.empty((len(sel), len(tuples), dim + 1), dtype=np.int16)
-            raw[:, :, np.arange(dim + 1) != j0] = tuples
-            rest = np.delete(coords[sel], j0, axis=1)
-            raw[:, :, j0] = _f_matmul(self.field, minus[rest], np.ascontiguousarray(tuples.T))
-            rows = enum.normalize_rows(raw.reshape(-1, dim + 1))
-            out[sel] = enum.index_rows(rows).reshape(len(sel), -1)
+        f, q = self.field, self.q
+        coords = self._get_enum(dim).table[np.asarray(ys, dtype=np.int64)]
+        trail = dim - (coords[:, ::-1] != 0).argmax(axis=1)
+        out = np.empty((len(coords), self.theta(dim - 1)), dtype=np.int64)
+        for j in set(trail.tolist()):
+            sel = np.nonzero(trail == j)[0]
+            start, w = self.theta(dim - j - 1), q ** (dim - j)
+            out[sel, :start] = np.arange(start)
+            if j == 0:                   # y = (1, 0, .., 0): all entries lead after j
+                continue
+            y = coords[sel]
+            c = f.mul_table[y, f.mul_table[f.p - 1][f.inv_table[y[:, j]]][:, None]]   # -y_i / y_j
+            # s[:, a] sums c_i x_i over k <= i < j, with those x_i the base-q
+            # digits of a; its slab x_k = 1 is x_j at the points u leading at k
+            slabs, s = [], np.zeros((len(sel), 1), dtype=np.int16)
+            for k in range(j - 1, 0, -1):
+                s = f.add_table[f.mul_table[c[:, k]][:, :, None], s[:, None, :]]
+                slabs.append(s[:, 1])
+                s = s.reshape(len(sel), -1)
+            slabs.append(f.add_table[c[:, :1], s])           # k = 0 needs only its slab
+            x_j = np.concatenate(slabs, axis=1)
+            u = np.arange(x_j.shape[1])
+            out[sel, start:] = ((start + w * (1 + q * u + x_j))[:, :, None]
+                                + np.arange(w)).reshape(len(sel), -1)
         return out
 
     def _checked_index(self, i: int, what: str) -> int:
@@ -309,15 +301,7 @@ class ProjectiveSpace:
         """Indices of the theta(n-1) points on a hyperplane (enumeration order)."""
         key = self._checked_index(h.index if isinstance(h, Hyperplane) else int(h),
                                   "hyperplane")
-        cached = self._hyperplane_points_cache.get(key)
-        if cached is not None:
-            return cached
-        idx = self._orthogonal_indices(self.n, [key])[0]
-        idx.setflags(write=False)
-        if len(self._hyperplane_points_cache) >= HYPERPLANE_POINTS_CACHE_ENTRIES:
-            self._hyperplane_points_cache.popitem(last=False)
-        self._hyperplane_points_cache[key] = idx
-        return idx
+        return self._orthogonal_indices(self.n, [key])[0]
 
     def pencil_indices(self, p: Union[ProjPoint, int]) -> np.ndarray:
         """Indices of the theta(n-1) hyperplanes through a point (enum order)."""
@@ -330,16 +314,17 @@ class ProjectiveSpace:
         """Indices in the quotient PG(n-1, q) of the lines joining a point a
         to each of the points `others`.
 
-        With j0 the leading position of a, the image y of x has coordinates
-        x_j - a_j x_j0 for j != j0.  So x lies on the hyperplane through a at
-        position t of pencil_indices(a) iff t . y = 0.
+        With j the trailing nonzero position of a, the image y of x has
+        coordinates x_i - (a_i / a_j) x_j for i != j.  So x lies on the
+        hyperplane through a at position t of pencil_indices(a) iff t . y = 0.
         """
         f = self.field
         a, x = self.point_table[anchor], np.take(self.point_table, others, axis=0)
-        j0 = int(np.argmax(a != 0))
-        off = np.arange(self.n + 1) != j0
-        minus_a = f.mul_table[f.p - 1][a[off]]          # -1 is encoded as p - 1
-        y = f.add_table[x[:, off], f.mul_table[x[:, j0:j0 + 1], minus_a[None, :]]]
+        j = self.n - int(np.argmax(a[::-1] != 0))
+        off = np.arange(self.n + 1) != j
+        c = f.mul_table[a[off], f.mul_table[f.p - 1, f.inv_table[a[j]]]]   # -a_i / a_j, -1 = p - 1
+        # mul_table[c_i, x_j]: each column's reads stay in one table row
+        y = f.add_table[x[:, off], f.mul_table[c[None, :], x[:, j:j + 1]]]
         enum_q = self._get_enum(self.n - 1)
         return enum_q.index_rows(enum_q.normalize_rows(y))
 

@@ -439,11 +439,19 @@ def verdict(c: Codeword, ctx: Optional[BoundContext] = None,
                 verdict stands even outside the regime.  If no witness
                 exists, Undetermined with the flag "no-witness".
     Otherwise Undetermined, optionally accompanied by the oracle's answer.
+    A given decomposition must be of c's space and combine to c on U, with
+    all of supp(c) in U; otherwise a ValueError is raised.
     """
     space = c.space
     if ctx is None:
         ctx = bounds.context_for(c)
     wt = weight(c)
+    if decomposition is not None:
+        if decomposition.space is not space:
+            raise ValueError("the decomposition belongs to another space")
+        union, (combined,) = _union_values(decomposition, [decomposition.terms])
+        if np.count_nonzero(combined) != wt or not np.array_equal(combined, c.values[union]):
+            raise ValueError("the decomposition does not combine to the codeword")
     flags = list(bounds.regime_flags(ctx, weight=wt))
     in_regime = not flags
 

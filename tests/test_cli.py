@@ -101,6 +101,9 @@ MALFORMED_SPECS = [
     ({"n": 100000, "p": 2, "h": 1, "terms": []}, "cap"),
     ({"p": 5, "h": 3, "terms": [[0, 1]]}, "no 'n' key"),
     ({"n": 2, "p": 5, "h": 3, "fixture": "random-j", "seed": 1}, "no 'j' key"),
+    ({"n": 2, "p": 5, "h": 3, "fixture": "random-j", "j": -1, "seed": 1}, "j must lie in [0, 15751]"),
+    ({"n": 2, "p": 5, "h": 3, "fixture": "random-j", "j": 99999, "seed": 1}, "j must lie in [0, 15751]"),
+    ({"n": 2, "p": 5, "h": 3, "fixture": "random-j", "j": 2, "seed": -4}, "seed must be non-negative"),
 ]
 
 

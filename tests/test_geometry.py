@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from pgcodes import Codeword, combine, incidence_codeword, space_make
-from pgcodes.geometry import DEFAULT_POINT_CAP, HYPERPLANE_POINTS_CACHE_ENTRIES
+from pgcodes.geometry import DEFAULT_POINT_CAP, _f_matmul
+from pgcodes.minimality import _pencil_counts
 
 
 def theta(m, q):
@@ -72,18 +73,6 @@ def test_out_of_range_indices_are_refused(spaces, index):
             call(index)
 
 
-def test_hyperplane_point_cache_evicts_oldest(fields):
-    """Past its bound the cache drops its oldest entry and keeps serving
-    the newest, instead of no longer caching at all."""
-    sp = space_make(2, fields(2, 5))
-    rows = [sp.hyperplane_point_indices(h) for h in range(300)]
-    cache = sp._hyperplane_points_cache
-    assert len(cache) == HYPERPLANE_POINTS_CACHE_ENTRIES == 256
-    assert list(cache) == list(range(300 - 256, 300))
-    assert sp.hyperplane_point_indices(299) is rows[299]
-    assert np.array_equal(sp.hyperplane_point_indices(0), rows[0])
-
-
 def test_point_index_roundtrip(spaces):
     sp = spaces(2, 3, 2)
     for i in (0, 1, 17, sp.num_points - 1):
@@ -147,28 +136,106 @@ def test_hyperplanes_through_counts(spaces):
         assert len(sp32.pencil_indices(int(pt))) == 1057  # theta_2(32)
 
 
+def _dots(sp, xs, y):
+    """GF(q) dot products of the points xs with the coordinates of point y."""
+    f, table = sp.field, sp.point_table
+    dots = np.zeros(len(xs), dtype=np.int64)
+    for k in range(sp.n + 1):
+        dots = f.add_table[dots, f.mul_table[table[xs, k], table[y, k]]]
+    return dots
+
+
 @pytest.mark.parametrize("key", [(2, 5, 3), (3, 2, 5), (4, 2, 2)])
 def test_orthogonal_rows_against_dot_products(spaces, key):
     """Each row of the primitive is exactly the zero set of the GF(q) dot
     product with its point, and is the array hyperplane_point_indices and
     pencil_indices return."""
     sp = spaces(*key)
-    f = sp.field
     rng = np.random.default_rng(44)
     ys = np.concatenate([[0, sp.num_points - 1],
                          rng.choice(sp.num_points, size=10, replace=False)])
     rows = sp._orthogonal_indices(sp.n, ys)
     assert rows.shape == (len(ys), theta(sp.n - 1, sp.q))
-    table = sp.point_table
+    everything = np.arange(sp.num_points)
     for y, row in zip(ys, rows):
-        dots = np.zeros(sp.num_points, dtype=np.int64)
-        for k in range(sp.n + 1):
-            dots = f.add_table[dots, f.mul_table[table[:, k], table[y, k]]]
-        assert np.array_equal(np.sort(row), np.nonzero(dots == 0)[0])
+        assert np.array_equal(np.sort(row), np.nonzero(_dots(sp, everything, y) == 0)[0])
         assert np.array_equal(row, sp.hyperplane_point_indices(int(y)))
         assert np.array_equal(row, sp.pencil_indices(int(y)))
     yq = rng.choice(theta(sp.n - 1, sp.q), size=10, replace=False)
     assert np.array_equal(sp._quotient_rows(yq), sp._orthogonal_indices(sp.n - 1, yq))
+
+
+def _normalising_rows(sp, dim, ys):
+    """Reference orthogonality rows by normalisation: every point of
+    PG(dim-1, q) fills the coordinates off y's leading position j0, x . y = 0
+    is solved for coordinate j0 by a GF(q) matrix product, and each entry is
+    then normalised and indexed."""
+    enum = sp._get_enum(dim)
+    tuples = sp._get_enum(dim - 1).table
+    coords = enum.table[np.asarray(ys, dtype=np.int64)]
+    lead = (coords != 0).argmax(axis=1)
+    minus = sp.field.mul_table[sp.field.p - 1]
+    out = np.empty((len(coords), len(tuples)), dtype=np.int64)
+    for j0 in np.unique(lead):
+        sel = np.nonzero(lead == j0)[0]
+        raw = np.empty((len(sel), len(tuples), dim + 1), dtype=np.int16)
+        raw[:, :, np.arange(dim + 1) != j0] = tuples
+        rest = np.delete(coords[sel], j0, axis=1)
+        raw[:, :, j0] = _f_matmul(sp.field, minus[rest], np.ascontiguousarray(tuples.T))
+        rows = enum.normalize_rows(raw.reshape(-1, dim + 1))
+        out[sel] = enum.index_rows(rows).reshape(len(sel), -1)
+    return out
+
+
+PRIMITIVE_SPACES = [(2, 3, 3), (3, 2, 4), (4, 2, 2), (5, 2, 1)]
+
+
+@pytest.mark.parametrize("key", PRIMITIVE_SPACES)
+def test_closed_form_rows_match_normalising_rows(spaces, key):
+    """At PG(2,27), PG(3,16), PG(4,4) and PG(5,2), for every point of
+    PG(n, q) and of PG(n-1, q), the closed-form row holds the same points as
+    the normalising reference."""
+    sp = spaces(*key)
+    for dim in (sp.n, sp.n - 1):
+        ys = np.arange(theta(dim, sp.q))
+        assert np.array_equal(np.sort(sp._orthogonal_indices(dim, ys), axis=1),
+                              np.sort(_normalising_rows(sp, dim, ys), axis=1))
+
+
+@pytest.mark.parametrize("key", PRIMITIVE_SPACES)
+def test_pencil_position_is_quotient_point(spaces, key):
+    """x lies on hyperplane pencil_indices(a)[t] iff t is in the quotient
+    row of _project(a, x): pencil positions and projections drop the same
+    coordinate of a."""
+    sp = spaces(*key)
+    rng = np.random.default_rng(71)
+    for a in [0, sp.num_points - 1, *rng.choice(sp.num_points, size=3, replace=False)]:
+        others = np.setdiff1d(rng.choice(sp.num_points, size=min(200, sp.num_points)), [a])
+        pencil = sp.pencil_indices(int(a))
+        on = np.stack([_dots(sp, others, h) == 0 for h in pencil], axis=1)
+        rows = sp._quotient_rows(sp._project(int(a), others))
+        expected = np.zeros_like(on)
+        np.put_along_axis(expected, rows, True, axis=1)
+        assert np.array_equal(on, expected)
+
+
+@pytest.mark.parametrize("key", PRIMITIVE_SPACES)
+def test_pencil_counts_against_dot_products(spaces, key):
+    """counts[t, v-1] of _pencil_counts is the number of support points of
+    value v on hyperplane cand_idx[t], counted by direct dot products."""
+    sp = spaces(*key)
+    p = sp.field.p
+    rng = np.random.default_rng(72)
+    residual = np.zeros(sp.num_points, dtype=np.int16)
+    residual[rng.choice(sp.num_points, size=sp.num_points // 3, replace=False)] = \
+        rng.integers(1, p, size=sp.num_points // 3)
+    supp = np.nonzero(residual)[0]
+    for anchor_pos in (0, len(supp) - 1, int(rng.integers(len(supp)))):
+        counts, cand_idx = _pencil_counts(sp, residual, supp, anchor_pos)
+        assert np.array_equal(np.sort(cand_idx), np.sort(sp.pencil_indices(int(supp[anchor_pos]))))
+        for t, h in enumerate(cand_idx):
+            vals = residual[supp[_dots(sp, supp, h) == 0]]
+            assert counts[t].tolist() == [int(np.sum(vals == v)) for v in range(1, p)]
 
 
 def test_point_and_pencil_duality(spaces):
@@ -263,14 +330,14 @@ def test_span_points(spaces):
         sp.span_points([a, b, ab])
 
 
-def test_span_points_pg3_32_plane_size(spaces):
+def test_span_points_pg3_32_plane_size(spaces, gf_rank):
     sp = spaces(3, 2, 5)
     rng = np.random.default_rng(3)
     found = 0
     while found < 5:
         pts = [int(x) for x in rng.choice(sp.num_points, size=3, replace=False)]
         rows = sp.point_table[pts]
-        if sp._rank(rows) != 3:
+        if gf_rank(sp.field, rows) != 3:
             continue
         assert len(sp.span_points(pts).point_indices) == 1057
         found += 1

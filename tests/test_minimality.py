@@ -684,18 +684,44 @@ def test_verdict_out_of_regime_single_block_undetermined(spaces):
         assert "q<=27" in rep.regime_flags
 
 
+def test_verdict_refuses_a_decomposition_of_another_codeword(spaces):
+    """A decomposition passed to verdict must combine to the codeword, on
+    its own space, with no support point of c off the union of its terms;
+    otherwise the report would judge a different codeword."""
+    sp = spaces(2, 5, 3)
+    c1, d1 = combine(sp, [(0, 1), (5, 1)])
+    _, d2 = random_combination(sp, 3, np.random.default_rng(14))
+    with pytest.raises(ValueError, match="does not combine"):
+        verdict(c1, decomposition=d2)
+    _, d_far = combine(spaces(2, 2, 5), [(0, 1), (5, 1)])
+    with pytest.raises(ValueError, match="another space"):
+        verdict(c1, decomposition=d_far)
+    union, _ = d1._union_positions()
+    vals = c1.values.copy()
+    vals[np.setdiff1d(np.arange(sp.num_points), union)[0]] = 1
+    with pytest.raises(ValueError, match="does not combine"):
+        verdict(Codeword(sp, vals), decomposition=d1)
+    assert verdict(c1, decomposition=d1).to_json() == verdict(c1).to_json()
+
+
 def test_verdict_reads_each_term_hyperplane_once(spaces, monkeypatch):
     """Refinement, holes, witness and an oracle counterexample share one
     union of the term hyperplanes: a verdict on a fresh decomposition asks
     the space for at most m hyperplane point lists."""
     sp = spaces(3, 5, 3)
     cw, d = random_combination(sp, 4, np.random.default_rng(103))
-    calls = []
-    lookup = sp.hyperplane_point_indices
-    monkeypatch.setattr(sp, "hyperplane_point_indices", lambda h: calls.append(h) or lookup(h))
+    rows = []
+    lookup = sp._orthogonal_indices
+
+    def spy(dim, ys):
+        if dim == sp.n:
+            rows.extend(int(y) for y in ys)
+        return lookup(dim, ys)
+
+    monkeypatch.setattr(sp, "_orthogonal_indices", spy)
     rep = verdict(cw, with_oracle=True, decomposition=d)
     assert rep.verdict == VERDICT_NOT_MINIMAL and rep.oracle.counterexample is not None
-    assert len(calls) <= d.m
+    assert len(rows) <= d.m
 
 
 def test_report_json_shape(spaces):
