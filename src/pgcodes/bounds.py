@@ -160,11 +160,11 @@ def _affine_counts(field, dim: int, x: np.ndarray, on_inf: np.ndarray,
             # int32: the one array kept across blocks; keys and bins are intp
             shift = np.arange(b - a, dtype=np.int32) * bins
             if k < dim - 1:
-                shift = shift + field.add_table[x[:, -1:], field.mul_table[minus_xk, a:b]]
+                shift = shift + field.array_add(x[:, -1:], field.mul_table[minus_xk, a:b])
         base = fixed.copy()
         for c in range(k + 1, dim - 1):
             dc = r // q ** (dim - 2 - c) % q
-            y = field.add_table[x[:, c], field.mul_table[dc, minus_xk]]
+            y = field.array_add(x[:, c], field.mul_table[dc, minus_xk])
             base += y.astype(np.intp) * q ** (dim - 1 - c)
         counts = np.bincount((base[:, None] + shift).ravel(),
                              minlength=(b - a) * bins).reshape(b - a, bins)

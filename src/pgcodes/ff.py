@@ -10,7 +10,13 @@ There is one representation.  Fields are accepted up to q = MAX_Q = 4096
 and refused above it when constructed.  Every accepted field carries the
 same dense lookup tables (exp, inverses, negatives, and q x q add/mul
 tables), so the geometry layer runs field arithmetic on whole numpy arrays
-via gathers, and each scalar op is one table read.
+via gathers, and each scalar op is one table read.  Two O(q) log-domain
+tables divide whole arrays: `log_table` (discrete logs to the generator,
+with log 0 the sentinel 2(q - 1)) and `exp_z` (the exp table over two
+periods followed by zeros), so exp_z[log a - log b + q - 1] is a / b, and 0
+when a = 0.  Arrays are added by `Field.array_add` alone: XOR when p = 2,
+where the encoding's base-2 digits add without carry, and otherwise one
+flat gather from `add_table`.
 """
 
 from __future__ import annotations
@@ -170,7 +176,11 @@ class Field:
     Elements are integers in [0, q).  Every field carries the same read-only
     lookup tables: `add_table` and `mul_table` (q x q int16) and `inv_table`
     (int32, 0 maps to 0) do arithmetic on whole numpy arrays by gathers, and
-    each scalar op is one read of a table.
+    each scalar op is one read of a table.  `log_table` (q entries, int16,
+    log 0 = 2(q - 1)) and `exp_z` (3q - 2 entries, int16) divide in the log
+    domain: exp_z[log_table[a] - log_table[b] + q - 1] == a / b for b != 0,
+    and 0 for a = 0.  `array_add` adds arrays: a ^ b when p = 2, else
+    add_table.ravel()[a * q + b].
     """
 
     def __init__(self, p: int, h: int, modulus: Optional[Sequence[int]] = None):
@@ -263,12 +273,21 @@ class Field:
             m = len(add)
             add = (p * add[:, None, :, None] + low[:, None, :]).reshape(m * p, m * p)
 
+        # log 0 is the sentinel 2(q - 1): minus any log b <= q - 2, plus
+        # q - 1, it lands in the zero tail of exp_z, whose other indices
+        # 1 .. 2q - 3 read the doubled exp
+        log16[0] = 2 * (q - 1)
+        exp_z = np.zeros(3 * q - 2, dtype=np.int16)
+        exp_z[:2 * (q - 1)] = exp
+
         self._exp = exp
         self._neg = mul[p - 1].astype(np.int32)      # -1 is encoded as p - 1
         self.add_table = add
         self.mul_table = mul
         self.inv_table = inv
-        for tbl in (exp, self._neg, add, mul, inv):
+        self.log_table = log16
+        self.exp_z = exp_z
+        for tbl in (exp, self._neg, add, mul, inv, log16, exp_z):
             tbl.setflags(write=False)
 
     def _spot_check_order(self):
@@ -285,6 +304,17 @@ class Field:
 
     def add(self, a: int, b: int) -> int:
         return int(self.add_table[a, b])
+
+    def array_add(self, a, b) -> np.ndarray:
+        """Elementwise a + b of broadcastable arrays of elements, as int16.
+
+        The one array add: in characteristic 2 the base-2 digits of the
+        encoding add without carry, so a + b is a ^ b; otherwise it is one
+        gather from the flattened add_table at a * q + b.
+        """
+        if self.p == 2:
+            return np.bitwise_xor(a, b, dtype=np.int16)
+        return self.add_table.ravel()[np.multiply(a, self.q, dtype=np.intp) + b]
 
     def mul(self, a: int, b: int) -> int:
         return int(self.mul_table[a, b])

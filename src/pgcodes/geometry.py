@@ -81,10 +81,11 @@ class _Enumeration:
         self.field = field
         self.dim = dim
         self.size = theta(dim, q)
-        # weights[j] = q^(dim-j); theta_prefix[m+1] = theta_m for m in [-1, dim]
+        # weights[j] = q^(dim-j); a canonical row leading at k has index
+        # lead_offset[k] + row . weights, with lead_offset[k] = theta(dim-k-1) - q^(dim-k)
         self.weights = (q ** np.arange(dim, -1, -1)).astype(np.int64)
-        self.theta_prefix = np.array(
-            [theta(m, q) for m in range(-1, dim + 1)], dtype=np.int64)
+        self.lead_offset = np.array(
+            [theta(dim - k - 1, q) for k in range(dim + 1)], dtype=np.int64) - self.weights
 
         # the rows with the leading 1 at k count t = 0, 1, ... in base q over
         # the coordinates after k; each digit of t is written through a
@@ -99,23 +100,31 @@ class _Enumeration:
             start += len(block)
         self.table.setflags(write=False)
 
-    def normalize_rows(self, rows: np.ndarray) -> np.ndarray:
-        rows = np.ascontiguousarray(rows, dtype=np.int16)
-        nz = rows != 0
-        if not nz.any(axis=1).all():
-            raise ValueError("cannot normalise a zero vector")
-        k = nz.argmax(axis=1)
-        lead = rows[np.arange(len(rows)), k]
-        inv = self.field.inv_table[lead].astype(np.int16)
-        return self.field.mul_table[inv[:, None], rows]
+    def index_vectors(self, rows: np.ndarray) -> np.ndarray:
+        """Indices of the points spanned by nonzero coordinate rows.
 
-    def index_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Indices of already-normalised coordinate rows."""
-        rows64 = np.asarray(rows, dtype=np.int64)
-        nz = rows64 != 0
-        k = nz.argmax(axis=1)
-        fullsum = rows64 @ self.weights
-        return self.theta_prefix[self.dim - k] + fullsum - self.weights[k]
+        Row r with leading nonzero entry at k is scaled to its canonical
+        representative in the log domain, digit i = exp_z[log r_i - log r_k
+        + q - 1], which is 0 where r_i = 0, and indexed in closed form.  The
+        leading entry is found one column at a time, last to first, which
+        beats an argmax along the short row axis.  A zero row raises
+        ValueError.
+        """
+        f, dim = self.field, self.dim
+        logs = f.log_table[rows]
+        zero = f.log_table[0]
+        lead, k = logs[:, dim].copy(), np.full(len(logs), dim, dtype=np.intp)
+        for col in range(dim - 1, -1, -1):
+            nz = logs[:, col] != zero
+            np.copyto(lead, logs[:, col], where=nz)
+            np.copyto(k, col, where=nz)
+        if (lead == zero).any():
+            raise ValueError("cannot normalise a zero vector")
+        shift = lead - (f.q - 1)
+        index = self.lead_offset[k]
+        for col in range(dim + 1):
+            index += f.exp_z[logs[:, col] - shift] * self.weights[col]
+        return index
 
 
 def _chunk_slices(count: int, row_len: int) -> Iterator[slice]:
@@ -127,11 +136,11 @@ def _chunk_slices(count: int, row_len: int) -> Iterator[slice]:
 
 def _f_matmul(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product over GF(q) via lookup-table gathers."""
-    mul, add = field.mul_table, field.add_table
+    mul = field.mul_table
     acc = None
     for k in range(a.shape[1]):
         term = mul[a[:, k][:, None], b[k][None, :]]
-        acc = term if acc is None else add[acc, term]
+        acc = term if acc is None else field.array_add(acc, term)
     return acc
 
 
@@ -194,16 +203,15 @@ class ProjectiveSpace:
         return Hyperplane(coords, index)
 
     def normalize(self, coords: Sequence[int]) -> tuple[int, ...]:
-        row = np.asarray([coords], dtype=np.int16)
-        return tuple(int(c) for c in self._enum.normalize_rows(row)[0])
+        index = self._enum.index_vectors(np.asarray([coords], dtype=np.int16))[0]
+        return tuple(int(c) for c in self.point_table[index])
 
     def point_index(self, coords: Sequence[int]) -> int:
         if len(coords) != self.n + 1:
             raise ValueError("coordinate vector has wrong length")
         if any(not 0 <= int(c) < self.q for c in coords):
             raise ValueError(f"coordinates {list(coords)} must lie in [0, {self.q})")
-        row = self._enum.normalize_rows(np.asarray([coords], dtype=np.int16))
-        return int(self._enum.index_rows(row)[0])
+        return int(self._enum.index_vectors(np.asarray([coords], dtype=np.int16))[0])
 
     def hyperplane_index(self, dual_coords: Sequence[int]) -> int:
         return self.point_index(dual_coords)
@@ -233,7 +241,7 @@ class ProjectiveSpace:
         basis_rows = np.ascontiguousarray(basis_rows, dtype=np.int16)
         tuples = self._get_enum(basis_rows.shape[0] - 1).table
         raw = _f_matmul(self.field, tuples, basis_rows)
-        return self._enum.index_rows(self._enum.normalize_rows(raw))
+        return self._enum.index_vectors(raw)
 
     def span_points(self, basis: Sequence[Union[ProjPoint, int]]) -> SubspacePointSet:
         """Point set of the projective span of independent points."""
@@ -263,7 +271,8 @@ class ProjectiveSpace:
         are the u-th point of PG(j-1, q), those after j count b = 0 .. w-1
         with w = q^(dim-j), and the index is theta(dim-j-1)
         + w (1 + q u + x_j) + b.  x_j is built for every u with one
-        add_table broadcast per coordinate before j.  The ys are grouped by j.
+        broadcast `array_add` per coordinate before j.  The ys are grouped
+        by j.
         """
         f, q = self.field, self.q
         coords = self._get_enum(dim).table[np.asarray(ys, dtype=np.int64)]
@@ -281,10 +290,10 @@ class ProjectiveSpace:
             # digits of a; its slab x_k = 1 is x_j at the points u leading at k
             slabs, s = [], np.zeros((len(sel), 1), dtype=np.int16)
             for k in range(j - 1, 0, -1):
-                s = f.add_table[f.mul_table[c[:, k]][:, :, None], s[:, None, :]]
+                s = f.array_add(f.mul_table[c[:, k]][:, :, None], s[:, None, :])
                 slabs.append(s[:, 1])
                 s = s.reshape(len(sel), -1)
-            slabs.append(f.add_table[c[:, :1], s])           # k = 0 needs only its slab
+            slabs.append(f.array_add(c[:, :1], s))           # k = 0 needs only its slab
             x_j = np.concatenate(slabs, axis=1)
             u = np.arange(x_j.shape[1])
             out[sel, start:] = ((start + w * (1 + q * u + x_j))[:, :, None]
@@ -321,12 +330,13 @@ class ProjectiveSpace:
         f = self.field
         a, x = self.point_table[anchor], np.take(self.point_table, others, axis=0)
         j = self.n - int(np.argmax(a[::-1] != 0))
-        off = np.arange(self.n + 1) != j
+        off = [i for i in range(self.n + 1) if i != j]
         c = f.mul_table[a[off], f.mul_table[f.p - 1, f.inv_table[a[j]]]]   # -a_i / a_j, -1 = p - 1
-        # mul_table[c_i, x_j]: each column's reads stay in one table row
-        y = f.add_table[x[:, off], f.mul_table[c[None, :], x[:, j:j + 1]]]
-        enum_q = self._get_enum(self.n - 1)
-        return enum_q.index_rows(enum_q.normalize_rows(y))
+        y = np.empty((len(x), self.n), dtype=np.int16)
+        for col, i in enumerate(off):
+            # mul_table[c_i] is one q-entry row: a 1-D read
+            y[:, col] = f.array_add(x[:, i], f.mul_table[c[col]][x[:, j]])
+        return self._get_enum(self.n - 1).index_vectors(y)
 
     def _quotient_rows(self, ys: np.ndarray) -> np.ndarray:
         """`_orthogonal_indices` over the quotient PG(n-1, q) for the ys.

@@ -350,7 +350,7 @@ def build_witness(d: Decomposition, fixpoint: HyperplanePartition,
         raise ValueError(f"witness construction needs r <= blocks - 2 (r={r}, blocks={nblocks})")
     p = d.space.field.p
     union, vals = _union_values(d, fixpoint.blocks)
-    cvals = vals.sum(axis=0) % p
+    cvals = vals.sum(axis=0, dtype=_sum_dtype(nblocks, p)) % p
     # a hole off U would only add a zero equation
     found = _first_escape(vals, np.isin(union, np.asarray(holes, dtype=np.int64)), cvals, p)
     if found is None:
@@ -361,9 +361,15 @@ def build_witness(d: Decomposition, fixpoint: HyperplanePartition,
     return _on_union(d.space, union, w)
 
 
+def _sum_dtype(m: int, p: int):
+    """int32 when m products of two residues mod p sum exactly in it, which
+    holds for every m that the default oracle cap admits; int64 beyond."""
+    return np.int32 if m * (p - 1) ** 2 < 2 ** 31 else np.int64
+
+
 def _is_scalar_multiple(a: np.ndarray, b: np.ndarray, p: int) -> bool:
     """True iff a = lam * b (mod p) for some lam in F_p, with a reduced."""
-    b = np.asarray(b, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int32)                   # lam * b < p^2 <= 2^24
     nz = np.flatnonzero(b)
     lam = int(a[nz[0]]) * pow(int(b[nz[0]]), -1, p) % p if len(nz) else 0
     return np.array_equal(a, lam * b % p)
@@ -382,7 +388,7 @@ def _first_escape(rows: np.ndarray, mask: np.ndarray, c: np.ndarray, p: int
     # a repeated column repeats an equation; the basis is the same in any order
     cols = list(set(map(tuple, rows[:, mask].T.tolist())))
     for beta in nullspace(cols, p, len(rows)):
-        values = (np.asarray(beta, dtype=np.int64) @ rows) % p
+        values = (np.asarray(beta, dtype=_sum_dtype(len(rows), p)) @ rows) % p
         if not _is_scalar_multiple(values, c, p):
             return beta, values
     return None
@@ -411,7 +417,7 @@ def oracle_minimal(d: Decomposition, cap: int = DEFAULT_ORACLE_CAP) -> OracleRes
     if total > cap:
         raise OracleCapExceededError(f"p^m = {total} exceeds the oracle cap {cap}")
     union, term_matrix = _union_values(d, [{h} for h in d.terms])
-    c_on_union = term_matrix.sum(axis=0) % p
+    c_on_union = term_matrix.sum(axis=0, dtype=_sum_dtype(d.m, p)) % p
     found = _first_escape(term_matrix != 0, c_on_union == 0, c_on_union, p)
     checked, counter = total, None
     if found is not None:

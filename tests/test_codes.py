@@ -5,12 +5,42 @@ import pytest
 
 from pgcodes import (Codeword, combine, incidence_codeword,
                      partial_combination, restricted_weight, support, weight)
-from pgcodes.codes import codeword_from_json, decomposition_from_json
+from pgcodes.codes import _residues, codeword_from_json, decomposition_from_json
 from pgcodes.minimality import random_combination
 
 
 def theta(m, q):
     return 0 if m < 0 else (q ** (m + 1) - 1) // (q - 1)
+
+
+@pytest.mark.parametrize("values", [
+    np.array([0, 1, 2, 4, 3], dtype=np.int16),
+    np.array([0, 1, 2, 4, 3], dtype=np.int64),
+    np.array([-1, -5, 0, 3, -7], dtype=np.int16),
+    np.array([5, 9, 40000, 4, 0], dtype=np.int64),
+    np.array([0, 4, 5, 1], dtype=np.int16),
+    np.array([0, 4, -1, 1], dtype=np.int64),
+    np.array([0, -32768, 32767, 1], dtype=np.int16),
+    np.array([], dtype=np.int16),
+    np.array([], dtype=np.int64),
+])
+def test_residues_match_mod_p(values):
+    """The reduction behind Codeword equals np.asarray(v) % p, as a fresh
+    int16 array, whether or not the values are already in [0, p)."""
+    got = _residues(values, 5)
+    assert got.dtype == np.int16
+    assert np.array_equal(got, np.asarray(values) % 5)
+    assert not np.shares_memory(got, values)
+
+
+def test_codeword_never_aliases_its_input(spaces):
+    sp = spaces(2, 5, 1)
+    vals = np.zeros(sp.num_points, dtype=np.int16)
+    vals[3] = 4
+    cw = Codeword(sp, vals)
+    vals[3] = 1
+    assert cw.value(3) == 4
+    assert not cw.values.flags.writeable
 
 
 def test_incidence_codeword_weights(spaces):

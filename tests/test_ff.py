@@ -192,6 +192,54 @@ def test_scalar_and_vector_ops_agree():
         assert int(vm[i]) == f.mul(int(a[i]), int(b[i]))
 
 
+ADD_FIELDS = [(2, 1), (2, 7), (3, 1), (3, 4), (5, 3), (7, 1), (7, 2)]
+
+
+@pytest.mark.parametrize("p,h", ADD_FIELDS)
+def test_array_add_against_add_table(p, h):
+    """array_add equals add_table on every pair, q <= 128, p in {2, 3, 5, 7},
+    as int16 for int16, int64 and mixed operands."""
+    f = field_make(p, h)
+    a = np.repeat(np.arange(f.q), f.q)
+    b = np.tile(np.arange(f.q), f.q)
+    want = f.add_table[a, b]
+    for ta, tb in ((np.int16, np.int16), (np.int64, np.int64), (np.int64, np.int16)):
+        got = f.array_add(a.astype(ta), b.astype(tb))
+        assert got.dtype == np.int16
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("p,h", [(2, 11), (3, 7), (7, 4)])
+def test_array_add_sampled_and_broadcast(p, h):
+    """Sampled pairs at q = 2048, 2187 and 2401, and broadcast shapes
+    (column against row, a 3-D slab, a 0-d operand) against add_table."""
+    f = field_make(p, h)
+    rng = np.random.default_rng(5)
+    a = rng.integers(0, f.q, size=20_000)
+    b = rng.integers(0, f.q, size=20_000).astype(np.int16)
+    assert np.array_equal(f.array_add(a, b), f.add_table[a, b])
+    col, row = a[:40, None], b[None, :30]
+    assert np.array_equal(f.array_add(col, row), f.add_table[col, row])
+    slab_a, slab_b = a[:60].reshape(3, 20, 1), b[:15].reshape(3, 1, 5)
+    assert np.array_equal(f.array_add(slab_a, slab_b), f.add_table[slab_a, slab_b])
+    assert np.array_equal(f.array_add(np.int16(7), b), f.add_table[7, b])
+
+
+@pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 6), (5, 2), (7, 2), (3, 3)])
+def test_log_domain_division(p, h):
+    """exp_z[log a - log b + q - 1] == a / b for every a and nonzero b at
+    q <= 64, including a = 0, with log 0 the sentinel 2(q - 1)."""
+    f = field_make(p, h)
+    q = f.q
+    assert int(f.log_table[0]) == 2 * (q - 1)
+    assert len(f.exp_z) == 3 * q - 2
+    assert not f.log_table.flags.writeable and not f.exp_z.flags.writeable
+    for a in range(q):
+        for b in range(1, q):
+            got = int(f.exp_z[int(f.log_table[a]) - int(f.log_table[b]) + q - 1])
+            assert got == f.mul(a, f.inv(b)), (a, b)
+
+
 # ---------------------------------------------------------------------------
 # nullspace
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Enumeration, indexing and incidence of PG(n, q)."""
 
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pgcodes import Codeword, combine, incidence_codeword, space_make
+from pgcodes import Codeword, bounds, combine, geometry, incidence_codeword, space_make
 from pgcodes.geometry import DEFAULT_POINT_CAP, _f_matmul
 from pgcodes.minimality import _pencil_counts
 
@@ -31,10 +32,35 @@ def test_resource_guard(fields):
     assert DEFAULT_POINT_CAP == 10_000_000
 
 
+def _reference_normalize_rows(enum, rows):
+    """Reference normalisation: each row times the inverse of its leading
+    nonzero entry, by 2-D gathers into inv_table and mul_table."""
+    rows = np.ascontiguousarray(rows, dtype=np.int16)
+    nz = rows != 0
+    if not nz.any(axis=1).all():
+        raise ValueError("cannot normalise a zero vector")
+    k = nz.argmax(axis=1)
+    lead = rows[np.arange(len(rows)), k]
+    inv = enum.field.inv_table[lead].astype(np.int16)
+    return enum.field.mul_table[inv[:, None], rows]
+
+
+def _reference_index_rows(enum, rows):
+    """Reference indices of already-normalised coordinate rows."""
+    q, dim = enum.field.q, enum.dim
+    weights = (q ** np.arange(dim, -1, -1)).astype(np.int64)
+    theta_prefix = np.array([theta(m, q) for m in range(-1, dim + 1)], dtype=np.int64)
+    rows64 = np.asarray(rows, dtype=np.int64)
+    nz = rows64 != 0
+    k = nz.argmax(axis=1)
+    fullsum = rows64 @ weights
+    return theta_prefix[dim - k] + fullsum - weights[k]
+
+
 def test_index_table_bijection(spaces):
     for key in ((2, 5, 1), (2, 2, 5), (3, 3, 1)):
         sp = spaces(*key)
-        idx = sp._enum.index_rows(sp.point_table)
+        idx = _reference_index_rows(sp._enum, sp.point_table)
         assert np.array_equal(idx, np.arange(sp.num_points))
 
 
@@ -90,6 +116,69 @@ def test_normalization_idempotent(spaces):
             continue
         once = sp.normalize(v)
         assert sp.normalize(once) == once
+
+
+INDEX_VECTOR_FIELDS = [(2, 1), (2, 2), (3, 2), (5, 2), (3, 3), (5, 3)]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("p,h", INDEX_VECTOR_FIELDS)
+def test_index_vectors_against_reference(spaces, n, p, h):
+    """index_vectors equals the reference normalise-then-index on every point
+    of PG(n, q), q in {2, 4, 9, 25, 27, 125}, times a random nonzero scalar,
+    and on random nonzero vectors; each scaled point keeps its index."""
+    sp = spaces(n, p, h)
+    enum, q, mul = sp._enum, sp.q, sp.field.mul_table
+    rng = np.random.default_rng(15)
+    scalars = rng.integers(1, q, size=sp.num_points)
+    scaled = mul[scalars[:, None], sp.point_table]
+    got = enum.index_vectors(scaled)
+    assert np.array_equal(got, np.arange(sp.num_points))
+    ref = _reference_index_rows(enum, _reference_normalize_rows(enum, scaled))
+    assert np.array_equal(got, ref)
+    vecs = rng.integers(0, q, size=(4000, n + 1)).astype(np.int16)
+    vecs = vecs[vecs.any(axis=1)]
+    assert np.array_equal(enum.index_vectors(vecs),
+                          _reference_index_rows(enum, _reference_normalize_rows(enum, vecs)))
+
+
+def test_index_vectors_sampled_at_2048(spaces):
+    """PG(2,2048): sampled points times random nonzero scalars, random
+    vectors, and rows with leading zeros, against the reference."""
+    sp = spaces(2, 2, 11)
+    enum, q = sp._enum, sp.q
+    rng = np.random.default_rng(16)
+    idx = rng.choice(sp.num_points, size=50_000, replace=False)
+    idx[:3] = [0, 1, sp.num_points - 1]            # (0,0,1), (0,1,0), (1,q-1,q-1)
+    scaled = sp.field.mul_table[rng.integers(1, q, size=len(idx))[:, None],
+                                sp.point_table[idx]]
+    assert np.array_equal(enum.index_vectors(scaled), idx)
+    vecs = rng.integers(0, q, size=(20_000, 3)).astype(np.int16)
+    vecs[:2000, 0] = 0
+    vecs[:1000, 1] = 0
+    vecs = vecs[vecs.any(axis=1)]
+    assert np.array_equal(enum.index_vectors(vecs),
+                          _reference_index_rows(enum, _reference_normalize_rows(enum, vecs)))
+
+
+@pytest.mark.parametrize("p,h", [(2, 2), (5, 1), (2, 11)])
+def test_index_vectors_rejects_zero_rows(spaces, p, h):
+    enum = spaces(2, p, h)._enum
+    rows = np.array([[0, 1, 1], [0, 0, 0], [1, 0, 0]], dtype=np.int16)
+    with pytest.raises(ValueError, match="zero vector"):
+        enum.index_vectors(rows)
+    with pytest.raises(ValueError, match="zero vector"):
+        enum.index_vectors(np.zeros((1, 3), dtype=np.int16))
+
+
+def test_one_array_add_and_one_normalisation():
+    """geometry and bounds add arrays only through Field.array_add, and
+    normalise only through index_vectors: no add_table gather and no
+    inverse-then-multiply normalisation is left in them."""
+    for module in (geometry, bounds):
+        text = Path(module.__file__).read_text()
+        for pattern in ("add_table[", "inv_table[lead]", "mul_table[inv"):
+            assert pattern not in text, (module.__name__, pattern)
 
 
 def test_point_index_rejects_out_of_range_coordinates(spaces):
@@ -182,8 +271,8 @@ def _normalising_rows(sp, dim, ys):
         raw[:, :, np.arange(dim + 1) != j0] = tuples
         rest = np.delete(coords[sel], j0, axis=1)
         raw[:, :, j0] = _f_matmul(sp.field, minus[rest], np.ascontiguousarray(tuples.T))
-        rows = enum.normalize_rows(raw.reshape(-1, dim + 1))
-        out[sel] = enum.index_rows(rows).reshape(len(sel), -1)
+        rows = _reference_normalize_rows(enum, raw.reshape(-1, dim + 1))
+        out[sel] = _reference_index_rows(enum, rows).reshape(len(sel), -1)
     return out
 
 

@@ -13,7 +13,7 @@ from pgcodes.minimality import (DEFAULT_ORACLE_CAP, VERDICT_MINIMAL,
                                 VERDICT_NOT_MINIMAL, VERDICT_UNDETERMINED,
                                 NoWitnessError, OracleCapExceededError,
                                 _best_candidate, _is_scalar_multiple, _on_union,
-                                _pencil_counts, _peel, _union_values,
+                                _pencil_counts, _peel, _sum_dtype, _union_values,
                                 build_adjacency, build_witness,
                                 exceptional_holes, random_combination)
 
@@ -596,6 +596,17 @@ def test_oracle_matches_brute_force(spaces):
         cases += 1
         minimal += got.minimal
     assert cases >= 400 and 0 < minimal < cases
+
+
+@pytest.mark.parametrize("m,p", [(1, 2), (26, 2), (16, 3), (9, 7), (2, 4093),
+                                 (128, 4093), (129, 4093), (5000, 1021)])
+def test_sum_dtype_is_exact(m, p):
+    """The oracle's and the witness's accumulator type holds m products of
+    two residues mod p at their largest, at and beyond the int32 limit."""
+    dt = _sum_dtype(m, p)
+    rows = np.full((m, 3), p - 1, dtype=np.int16)
+    assert (np.full(m, p - 1, dtype=dt) @ rows).tolist() == [m * (p - 1) ** 2] * 3
+    assert rows.sum(axis=0, dtype=dt).tolist() == [m * (p - 1)] * 3
 
 
 def test_oracle_zero_sum_decomposition(spaces):
