@@ -21,7 +21,10 @@ import numpy as np
 
 from .ff import is_prime
 from .codes import Codeword, restricted_weight, support
-from .geometry import _CHUNK_ENTRIES, SubspacePointSet, theta
+from .geometry import _CHUNK_ENTRIES, SubspacePointSet, _affine_digits, theta
+
+# `secant_spectrum` refuses a space with more lines than this by default
+SPECTRUM_LINE_CAP = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -203,7 +206,7 @@ def _line_counts(sp, dim: int, supp: np.ndarray, threads: int) -> np.ndarray:
     t_inf = sp.theta(dim - 1)
     at_inf = supp[supp < t_inf]
     t = supp[supp >= t_inf] - t_inf
-    x = np.stack([t // q ** (dim - 1 - c) % q for c in range(dim)], axis=1)
+    x = np.stack(_affine_digits(t, q, dim), axis=1)
     on_inf = np.zeros(t_inf, dtype=np.int64)
     on_inf[at_inf] = 1
     # a block of B directions holds B * len(x) keys and B * q^(dim-1) bins,
@@ -237,7 +240,7 @@ def secant_spectrum(c: Codeword, max_lines: Optional[int] = None,
         raise ValueError(f"threads must be >= 1, got {threads}")
     sp = c.space
     total = sp.line_count()
-    cap = max_lines if max_lines is not None else 50_000_000
+    cap = max_lines if max_lines is not None else SPECTRUM_LINE_CAP
     if total > cap:
         raise ValueError(f"line count {total} exceeds the cap of {cap}")
     counts = _line_counts(sp, sp.n, support(c), threads)

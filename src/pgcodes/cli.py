@@ -25,6 +25,7 @@ import hashlib
 import json
 import sys
 import time
+import traceback
 from typing import Optional
 
 import numpy as np
@@ -107,10 +108,13 @@ def _build_from_spec(spec: dict, cap_points: Optional[int]):
                 and all(isinstance(t, list) and len(t) == 2 for t in pairs)):
             raise ValueError("terms must be a list of [hyperplane, coefficient] pairs")
         terms = []
-        for hspec, coef in pairs:
+        for pos, (hspec, coef) in enumerate(pairs):
             if isinstance(hspec, list):
-                hidx = space.hyperplane_index(
-                    [codes.checked_int(c, "a dual coordinate") for c in hspec])
+                coords = [codes.checked_int(c, "a dual coordinate") for c in hspec]
+                if not any(coords):
+                    raise ValueError(f"term {pos} has the zero dual vector {coords}, "
+                                     "which names no hyperplane")
+                hidx = space.hyperplane_index(coords)
             else:
                 hidx = codes.checked_index(hspec, space, "hyperplane")
             terms.append((hidx, codes.checked_int(coef, "a coefficient")))
@@ -167,9 +171,16 @@ def cmd_analyze(args) -> int:
 
 
 def _analyze(args, raw: bytes) -> tuple[dict, int]:
-    """The analyze report of a spec file's bytes, and the exit code."""
-    spec = json.loads(raw.decode("utf-8"))
-    space, cw, info = _build_from_spec(spec, args.cap_points)
+    """The analyze report of a spec file's bytes, and the exit code.
+
+    A spec that cannot be decoded, parsed or built gives a report of only
+    `error` and `meta`, with empty regime flags, and exit code 1.
+    """
+    try:
+        spec = json.loads(raw.decode("utf-8"))
+        space, cw, info = _build_from_spec(spec, args.cap_points)
+    except (ValueError, RecursionError) as exc:      # RecursionError: JSON nested too deep
+        return {"error": str(exc), "meta": _meta(raw, [])}, 1
     ctx = bounds.context_for(cw)
     wt = codes.weight(cw)
     flags = bounds.regime_flags(ctx, weight=wt) if ctx.h >= 2 else \
@@ -221,6 +232,9 @@ def _analyze(args, raw: bytes) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 
 def _check(name: str, fn) -> bool:
+    """Run one check and print its PASS or FAIL line.  Any exception fails
+    the check alone, so the remaining checks still run; one other than a
+    failed assertion is named in the line and its traceback goes to stderr."""
     t0 = time.time()
     try:
         fn()
@@ -229,6 +243,10 @@ def _check(name: str, fn) -> bool:
     except AssertionError as exc:
         ok = False
         msg = f" ({exc})"
+    except Exception as exc:
+        traceback.print_exc()
+        ok = False
+        msg = f" ({type(exc).__name__}: {exc})"
     dt = time.time() - t0
     print(f"{'PASS' if ok else 'FAIL'} {name} [{dt:.2f}s]{msg}")
     return ok
@@ -358,7 +376,9 @@ def cmd_verify(args) -> int:
 def _add_common_caps(sub):
     sub.add_argument("--threads", type=int, default=1)
     sub.add_argument("--cap-points", type=int, default=None)
-    sub.add_argument("--cap-lines", type=int, default=None)
+    sub.add_argument("--cap-lines", type=int, default=None,
+                     help="refuse a secant spectrum of a space with more lines "
+                          f"(default {bounds.SPECTRUM_LINE_CAP:,})")
     sub.add_argument("--cap-oracle", type=int, default=minimality.DEFAULT_ORACLE_CAP)
     sub.add_argument("--out", default=None, help="write the report to a file")
     sub.add_argument("--no-regime-exit", action="store_true",

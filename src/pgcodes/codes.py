@@ -1,9 +1,9 @@
 """Codeword algebra for the hyperplane incidence code of PG(n, q).
 
-A codeword is a dense vector of F_p values indexed by point index.  The code
-is spanned by the characteristic vectors of hyperplanes; `combine` builds
-F_p-linear combinations and records which hyperplanes carry nonzero
-coefficients in a `Decomposition`.
+A codeword is a dense vector of F_p values indexed by point index, with its
+sorted support carried alongside.  The code is spanned by the characteristic
+vectors of hyperplanes; `combine` builds F_p-linear combinations and records
+which hyperplanes carry nonzero coefficients in a `Decomposition`.
 """
 
 from __future__ import annotations
@@ -29,9 +29,10 @@ def _residues(values, p: int) -> np.ndarray:
 
 
 class Codeword:
-    """Immutable vector of canonical F_p residues indexed by point index."""
+    """Immutable vector of canonical F_p residues indexed by point index,
+    with its sorted, read-only support."""
 
-    __slots__ = ("space", "values")
+    __slots__ = ("space", "values", "_support")
 
     def __init__(self, space: ProjectiveSpace, values: np.ndarray):
         if len(values) != space.num_points:
@@ -40,6 +41,27 @@ class Codeword:
         vals.setflags(write=False)
         self.space = space
         self.values = vals
+        self._support = None
+
+    @classmethod
+    def _with_support(cls, space: ProjectiveSpace, values: np.ndarray,
+                      supp: np.ndarray) -> "Codeword":
+        """A codeword from values already in [0, p) and their sorted support,
+        both built by this package; neither is checked or copied."""
+        cw = cls.__new__(cls)
+        values.setflags(write=False)
+        supp.setflags(write=False)
+        cw.space, cw.values, cw._support = space, values, supp
+        return cw
+
+    @property
+    def support(self) -> np.ndarray:
+        """Sorted indices of the nonzero points, found once."""
+        if self._support is None:
+            supp = np.flatnonzero(self.values)
+            supp.setflags(write=False)
+            self._support = supp
+        return self._support
 
     @classmethod
     def zero(cls, space: ProjectiveSpace) -> "Codeword":
@@ -62,19 +84,19 @@ class Codeword:
         return Codeword(self.space, (self.values.astype(np.int64) * alpha) % self.space.field.p)
 
     def is_zero(self) -> bool:
-        return not self.values.any()
+        return len(self.support) == 0
 
     def __repr__(self):
         return f"Codeword(weight={weight(self)}, space={self.space!r})"
 
     def to_json(self) -> dict:
         sp = self.space
-        supp = np.nonzero(self.values)[0]
+        supp = self.support
         return {
             "n": sp.n,
             "p": sp.field.p,
             "h": sp.field.h,
-            "values": [[int(i), int(self.values[i])] for i in supp],
+            "values": [[int(i), int(v)] for i, v in zip(supp, self.values[supp])],
         }
 
 
@@ -213,35 +235,52 @@ def combine(space: ProjectiveSpace,
         merged[key] = (merged.get(key, 0) + int(coef)) % p
     dropped = sorted(k for k, v in merged.items() if v == 0)
     surviving = {k: v for k, v in merged.items() if v != 0}
-    cw = Codeword(space, _accumulate(space, surviving))
+    cw = _accumulate(space, surviving)
     return cw, Decomposition(space, surviving, dropped=dropped)
 
 
-def _accumulate(space: ProjectiveSpace, terms: dict[int, int]) -> np.ndarray:
-    """int16 values of sum coef * [hyperplane], reduced mod p term by term,
-    with the term rows taken from the primitive in `_chunk_slices` blocks.
+def _accumulate(space: ProjectiveSpace, terms: dict[int, int]) -> Codeword:
+    """The codeword sum coef * [hyperplane], with int16 values reduced mod p
+    term by term and the term rows taken from the primitive in
+    `_chunk_slices` blocks.
 
     Each partial sum stays below 2p, so no dense int64 vector is needed: at
     PG(3,125) one costs 15.7 MB, and the freed temporaries left the peak RSS
     of a short run depending on where the allocator happened to place them.
+    The support comes from the term rows: sorted, their repeats dropped by a
+    neighbour mask, and kept where the value is nonzero.  Rows holding more
+    entries than there are points are not kept; one scan of the values is
+    then cheaper than the sort, and memory stays at theta(n) entries.
     """
     p = space.field.p
     vals = np.zeros(space.num_points, dtype=np.int16)
     keys = [space._checked_index(int(h), "hyperplane") for h in terms]
     coefs = [int(c) % p for c in terms.values()]
-    for sl in _chunk_slices(len(keys), space.theta(space.n - 1)):
-        for pts, coef in zip(space._orthogonal_indices(space.n, keys[sl]), coefs[sl]):
+    row_len = space.theta(space.n - 1)
+    keep = len(keys) * row_len <= space.num_points
+    rows = []
+    for sl in _chunk_slices(len(keys), row_len):
+        block = space._orthogonal_indices(space.n, keys[sl])
+        for pts, coef in zip(block, coefs[sl]):
             vals[pts] = (vals[pts] + coef) % p
-    return vals
+        if keep:
+            rows.append(block.ravel())
+    if not keep:
+        return Codeword._with_support(space, vals, np.flatnonzero(vals))
+    touched = np.sort(np.concatenate(rows)) if rows else np.zeros(0, dtype=np.int64)
+    first = np.ones(len(touched), dtype=bool)
+    first[1:] = touched[1:] != touched[:-1]
+    touched = touched[first]
+    return Codeword._with_support(space, vals, touched[vals[touched] != 0])
 
 
 def support(c: Codeword) -> np.ndarray:
     """Sorted indices of the points where the codeword is nonzero."""
-    return np.nonzero(c.values)[0]
+    return c.support
 
 
 def weight(c: Codeword) -> int:
-    return int(np.count_nonzero(c.values))
+    return len(c.support)
 
 
 def restricted_weight(c: Codeword, sub: SubspacePointSet) -> int:
@@ -256,4 +295,4 @@ def partial_combination(d: Decomposition, subset: Iterable[int]) -> Codeword:
     extra = subset - set(d.terms)
     if extra:
         raise ValueError(f"subset contains hyperplanes outside the decomposition: {sorted(extra)}")
-    return Codeword(d.space, _accumulate(d.space, {h: d.terms[h] for h in subset}))
+    return _accumulate(d.space, {h: d.terms[h] for h in subset})

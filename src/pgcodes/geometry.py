@@ -100,31 +100,45 @@ class _Enumeration:
             start += len(block)
         self.table.setflags(write=False)
 
-    def index_vectors(self, rows: np.ndarray) -> np.ndarray:
-        """Indices of the points spanned by nonzero coordinate rows.
+    def index_vectors(self, cols) -> np.ndarray:
+        """Indices of the points spanned by nonzero coordinate vectors, given
+        as their dim + 1 coordinate columns (1-D arrays of equal length, or
+        the rows of a transposed (len, dim + 1) array).
 
-        Row r with leading nonzero entry at k is scaled to its canonical
+        Vector r with leading nonzero entry at k is scaled to its canonical
         representative in the log domain, digit i = exp_z[log r_i - log r_k
         + q - 1], which is 0 where r_i = 0, and indexed in closed form.  The
         leading entry is found one column at a time, last to first, which
-        beats an argmax along the short row axis.  A zero row raises
+        beats an argmax along the short row axis.  A zero vector raises
         ValueError.
         """
         f, dim = self.field, self.dim
-        logs = f.log_table[rows]
+        logs = [f.log_table[c] for c in cols]
         zero = f.log_table[0]
-        lead, k = logs[:, dim].copy(), np.full(len(logs), dim, dtype=np.intp)
+        lead, k = logs[dim].copy(), np.full(len(logs[dim]), dim, dtype=np.intp)
         for col in range(dim - 1, -1, -1):
-            nz = logs[:, col] != zero
-            np.copyto(lead, logs[:, col], where=nz)
+            nz = logs[col] != zero
+            np.copyto(lead, logs[col], where=nz)
             np.copyto(k, col, where=nz)
         if (lead == zero).any():
             raise ValueError("cannot normalise a zero vector")
         shift = lead - (f.q - 1)
         index = self.lead_offset[k]
         for col in range(dim + 1):
-            index += f.exp_z[logs[:, col] - shift] * self.weights[col]
+            index += f.exp_z[logs[col] - shift] * self.weights[col]
         return index
+
+
+def _affine_digits(t: np.ndarray, q: int, dim: int) -> list[np.ndarray]:
+    """Coordinates x_1 .. x_dim of the affine points theta(dim-1) + t of
+    PG(dim, q), which are (1, x_1, .., x_dim) with x the base-q digits of t,
+    most significant first, in t's dtype."""
+    digits = []
+    for _ in range(dim - 1):
+        high = t // q
+        digits.append(t - high * q)
+        t = high
+    return [t] + digits[::-1]
 
 
 def _chunk_slices(count: int, row_len: int) -> Iterator[slice]:
@@ -203,7 +217,7 @@ class ProjectiveSpace:
         return Hyperplane(coords, index)
 
     def normalize(self, coords: Sequence[int]) -> tuple[int, ...]:
-        index = self._enum.index_vectors(np.asarray([coords], dtype=np.int16))[0]
+        index = self._enum.index_vectors(np.asarray([coords], dtype=np.int16).T)[0]
         return tuple(int(c) for c in self.point_table[index])
 
     def point_index(self, coords: Sequence[int]) -> int:
@@ -211,7 +225,7 @@ class ProjectiveSpace:
             raise ValueError("coordinate vector has wrong length")
         if any(not 0 <= int(c) < self.q for c in coords):
             raise ValueError(f"coordinates {list(coords)} must lie in [0, {self.q})")
-        return int(self._enum.index_vectors(np.asarray([coords], dtype=np.int16))[0])
+        return int(self._enum.index_vectors(np.asarray([coords], dtype=np.int16).T)[0])
 
     def hyperplane_index(self, dual_coords: Sequence[int]) -> int:
         return self.point_index(dual_coords)
@@ -241,7 +255,7 @@ class ProjectiveSpace:
         basis_rows = np.ascontiguousarray(basis_rows, dtype=np.int16)
         tuples = self._get_enum(basis_rows.shape[0] - 1).table
         raw = _f_matmul(self.field, tuples, basis_rows)
-        return self._enum.index_vectors(raw)
+        return self._enum.index_vectors(raw.T)
 
     def span_points(self, basis: Sequence[Union[ProjPoint, int]]) -> SubspacePointSet:
         """Point set of the projective span of independent points."""
@@ -321,22 +335,42 @@ class ProjectiveSpace:
 
     def _project(self, anchor: int, others: np.ndarray) -> np.ndarray:
         """Indices in the quotient PG(n-1, q) of the lines joining a point a
-        to each of the points `others`.
+        to each of the sorted points `others`.
 
         With j the trailing nonzero position of a, the image y of x has
-        coordinates x_i - (a_i / a_j) x_j for i != j.  So x lies on the
-        hyperplane through a at position t of pencil_indices(a) iff t . y = 0.
+        coordinates y_i = x_i + c_i x_j, c_i = -a_i / a_j, for i != j.  So x
+        lies on the hyperplane through a at position t of pencil_indices(a)
+        iff t . y = 0.  When a lies at infinity (a_0 = 0, so c_0 = 0), an
+        affine x = (1, x_1, .., x_n) keeps y_0 = 1: y is already canonical,
+        and its index, theta(n-2) plus y's other n - 1 coordinates read as a
+        base-q number, needs neither the point table nor a normalisation.
+        The affine points are the suffix of `others` from theta(n-1); the
+        points at infinity, and all points when a is affine, go through
+        `index_vectors`.
         """
-        f = self.field
-        a, x = self.point_table[anchor], np.take(self.point_table, others, axis=0)
-        j = self.n - int(np.argmax(a[::-1] != 0))
-        off = [i for i in range(self.n + 1) if i != j]
+        f, n, q = self.field, self.n, self.q
+        a = self.point_table[anchor]
+        j = n - int(np.argmax(a[::-1] != 0))
+        off = [i for i in range(n + 1) if i != j]
         c = f.mul_table[a[off], f.mul_table[f.p - 1, f.inv_table[a[j]]]]   # -a_i / a_j, -1 = p - 1
-        y = np.empty((len(x), self.n), dtype=np.int16)
-        for col, i in enumerate(off):
+        split = len(others) if a[0] else int(np.searchsorted(others, self.theta(n - 1)))
+        out = np.empty(len(others), dtype=np.int64)
+        if split:
+            x = np.take(self.point_table, others[:split], axis=0)
             # mul_table[c_i] is one q-entry row: a 1-D read
-            y[:, col] = f.array_add(x[:, i], f.mul_table[c[col]][x[:, j]])
-        return self._get_enum(self.n - 1).index_vectors(y)
+            out[:split] = self._get_enum(n - 1).index_vectors(
+                [f.array_add(x[:, i], f.mul_table[c[col]][x[:, j]]) for col, i in enumerate(off)])
+        if split < len(others):
+            t = others[split:] - self.theta(n - 1)
+            # the digits divide several times faster in int32 than in int64
+            # x[i] is coordinate i; x_0 = 1 is not read
+            x = [None] + _affine_digits(t.astype(np.int32) if q ** n < 2 ** 31 else t, q, n)
+            weights = self._get_enum(n - 1).weights
+            index = out[split:]
+            index[:] = self.theta(n - 2)
+            for col, i in enumerate(off[1:], 1):
+                index += f.array_add(x[i], np.take(f.mul_table[c[col]], x[j])) * weights[col]
+        return out
 
     def _quotient_rows(self, ys: np.ndarray) -> np.ndarray:
         """`_orthogonal_indices` over the quotient PG(n-1, q) for the ys.

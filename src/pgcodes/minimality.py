@@ -117,11 +117,12 @@ class MinimalityReport:
 # Decomposition by majority peeling
 # ---------------------------------------------------------------------------
 
-def _pencil_counts(space: ProjectiveSpace, residual: np.ndarray,
-                   supp: np.ndarray, anchor_pos: int):
+def _pencil_counts(space: ProjectiveSpace, supp: np.ndarray, vals: np.ndarray,
+                   anchor_pos: int):
     """Counts of same-valued support points on every hyperplane through an anchor.
 
-    The hyperplanes through the anchor are listed by pencil_indices(anchor),
+    supp is the sorted support and vals its values.  The hyperplanes
+    through the anchor supp[anchor_pos] are listed by pencil_indices(anchor),
     whose position t is a point of the quotient PG(n-1, q).  Every other
     support point projects to a quotient point y and lies on hyperplane t
     iff t . y = 0, so scattering the (quotient point, value) histogram
@@ -131,8 +132,9 @@ def _pencil_counts(space: ProjectiveSpace, residual: np.ndarray,
     p = space.field.p
     anchor = int(supp[anchor_pos])
     cand_idx = space.pencil_indices(anchor)
-    others = np.delete(supp, anchor_pos)
-    codes = space._project(anchor, others) * (p - 1) + residual[others].astype(np.int64) - 1
+    others = np.concatenate((supp[:anchor_pos], supp[anchor_pos + 1:]))
+    others_vals = np.concatenate((vals[:anchor_pos], vals[anchor_pos + 1:]))
+    codes = space._project(anchor, others) * (p - 1) + others_vals - 1
     hist = np.bincount(codes, minlength=len(cand_idx) * (p - 1)).reshape(-1, p - 1)
     ys, alphas = np.nonzero(hist)
     width = space.theta(space.n - 2)
@@ -141,7 +143,7 @@ def _pencil_counts(space: ProjectiveSpace, residual: np.ndarray,
         cells = np.multiply(space._quotient_rows(ys[sl]), p - 1, dtype=np.int64) + alphas[sl, None]
         np.add.at(counts, cells.ravel(), np.repeat(hist[ys[sl], alphas[sl]], width))
     counts = counts.reshape(hist.shape)
-    counts[:, int(residual[anchor]) - 1] += 1            # anchor lies on every candidate
+    counts[:, int(vals[anchor_pos]) - 1] += 1            # anchor lies on every candidate
     return counts, cand_idx
 
 
@@ -159,19 +161,33 @@ def _best_candidate(counts: np.ndarray, cand_idx: np.ndarray):
     return best, int(hyp[k]), int(als[k]) + 1, len(ts) > 1
 
 
-def _peel(residual: np.ndarray, supp: np.ndarray, pts: np.ndarray,
-          alpha: int, p: int) -> np.ndarray:
-    """Subtract alpha on the points pts of a hyperplane, in place, and return
-    the new sorted support, in O(wt + theta(n-1)) without a full-space pass.
+def _peel(supp: np.ndarray, vals: np.ndarray, pts: np.ndarray,
+          alpha: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Subtract alpha on the points pts of a hyperplane from the residual
+    held as its sorted support supp and values vals, and return the new
+    (supp, vals), in O(wt + theta(n-1)) without a full-space pass.
 
-    Points of pts outside the support take the value -alpha != 0, so they
-    join it; old support points that reach 0 leave it.
+    Points of pts found in supp by `searchsorted` change value, and leave
+    the support when they reach 0; the others take the value -alpha != 0
+    and are merged in.
     """
-    old = residual[pts]
-    fresh = np.sort(pts[old == 0])
-    residual[pts] = (old - alpha) % p
-    supp = supp[residual[supp] != 0]
-    return np.insert(supp, np.searchsorted(supp, fresh), fresh)
+    pos = np.searchsorted(supp, pts)
+    found = np.searchsorted(supp, pts, side="right") != pos
+    at = pos[found]
+    vals = vals.copy()
+    vals[at] = (vals[at] - alpha) % p
+    keep = vals != 0
+    supp, vals = supp[keep], vals[keep]
+    # one slot mask places both arrays: np.insert would place each on its
+    # own, at a fixed cost per call that dominates on short supports
+    fresh = np.sort(pts[~found])
+    slots = np.searchsorted(supp, fresh) + np.arange(len(fresh))
+    kept = np.ones(len(supp) + len(fresh), dtype=bool)
+    kept[slots] = False
+    new_supp, new_vals = np.empty(len(kept), dtype=supp.dtype), np.empty(len(kept), dtype=vals.dtype)
+    new_supp[kept], new_supp[slots] = supp, fresh
+    new_vals[kept], new_vals[slots] = vals, (-alpha) % p
+    return new_supp, new_vals
 
 
 def decompose(c: Codeword, ctx: Optional[BoundContext] = None,
@@ -192,8 +208,8 @@ def decompose(c: Codeword, ctx: Optional[BoundContext] = None,
     if ctx is None:
         ctx = bounds.context_for(c)
     p = space.field.p
-    residual = c.values.astype(np.int16)
-    supp = np.nonzero(residual)[0]
+    supp = c.support
+    vals = c.values[supp]
     wt = len(supp)
     theta_h = space.theta(space.n - 1)
     flags = list(bounds.regime_flags(ctx, weight=wt))
@@ -222,12 +238,12 @@ def decompose(c: Codeword, ctx: Optional[BoundContext] = None,
                 "or the input is outside the guaranteed regime)")
         found = False
         for anchor_pos in range(len(supp)):
-            counts, cand_idx = _pencil_counts(space, residual, supp, anchor_pos)
+            counts, cand_idx = _pencil_counts(space, supp, vals, anchor_pos)
             best, hyp, alpha, tie = _best_candidate(counts, cand_idx)
             if 2 * best > theta_h:
                 if tie:
                     tie_breaks.append(peels)
-                supp = _peel(residual, supp, space.hyperplane_point_indices(hyp), alpha, p)
+                supp, vals = _peel(supp, vals, space.hyperplane_point_indices(hyp), alpha, p)
                 terms[hyp] = (terms.get(hyp, 0) + alpha) % p
                 if terms[hyp] == 0:
                     del terms[hyp]
@@ -277,7 +293,7 @@ def _on_union(space: ProjectiveSpace, union: np.ndarray, values: np.ndarray) -> 
     """The codeword with the given values on U and 0 elsewhere."""
     out = np.zeros(space.num_points, dtype=np.int16)
     out[union] = values
-    return Codeword(space, out)
+    return Codeword._with_support(space, out, union[values != 0])
 
 
 def build_adjacency(d: Decomposition, partition: HyperplanePartition) -> AdjacencyWitnessGraph:

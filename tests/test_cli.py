@@ -1,8 +1,11 @@
 """Command-line interface: reports, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
+
+from pgcodes import cli
 
 from pgcodes.cli import main
 
@@ -11,6 +14,19 @@ def _run(capsys, argv):
     rc = main(argv)
     out = capsys.readouterr().out
     return rc, out
+
+
+def _error_report(capsys, path, argv=("--decompose",)):
+    """The error of the report that analyze emits for a spec it cannot
+    build: exit 1, nothing on stderr, and only `error` and `meta`, whose
+    digest is that of the file's bytes and whose regime flags are empty."""
+    rc, out = _run(capsys, ["analyze", str(path), *argv])
+    assert rc == 1
+    rep = json.loads(out)
+    assert set(rep) == {"error", "meta"}
+    assert rep["meta"]["input_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert rep["meta"]["regime_flags"] == []
+    return rep["error"]
 
 
 def test_geom_info_values(capsys):
@@ -86,8 +102,7 @@ def test_analyze_rejects_out_of_range_terms(tmp_path, capsys, terms):
     spec = {"n": 2, "p": 5, "h": 3, "terms": terms}
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
-    assert main(["analyze", str(path), "--decompose", "--minimality"]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    assert _error_report(capsys, path, ["--decompose", "--minimality"])
 
 
 MALFORMED_SPECS = [
@@ -115,10 +130,32 @@ def test_analyze_rejects_malformed_specs(tmp_path, capsys, spec, needle):
     cap, ends in an error naming the fault and exit 1."""
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
-    assert main(["analyze", str(path), "--decompose"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    assert needle in err
+    assert needle in _error_report(capsys, path)
+
+
+UNBUILDABLE_SPECS = [
+    (b'{"n": 2, "p": 5, "h": 3, "terms": [[0, 1]', "Expecting"),
+    (b'{"n": 2, "p": 5, "h": 3, "terms": [], "x": "\xff"}', "can't decode byte 0xff"),
+    (b"[" * 100_000, "recursion"),
+    (json.dumps({"n": 2, "p": 4, "h": 1, "terms": [[0, 1]]}).encode(), "p = 4 is not prime"),
+    (json.dumps({"n": 2, "p": 5, "h": 3, "terms": [[15751, 1]]}).encode(),
+     "hyperplane index 15751 out of range [0, 15751)"),
+    (json.dumps({"n": 2, "p": 5, "h": 3, "terms": [[0, 1], [2, 0.5]]}).encode(),
+     "a coefficient must be an integer, got 0.5"),
+    (json.dumps({"n": 2, "p": 5, "h": 3, "terms": [[0, 1], [[0, 0, 0], 2]]}).encode(),
+     "term 1 has the zero dual vector [0, 0, 0]"),
+]
+
+
+@pytest.mark.parametrize("raw,needle", UNBUILDABLE_SPECS,
+                         ids=["invalid-json", "non-utf8", "nested-too-deep", "p-not-prime",
+                              "index-out-of-range", "non-integer-term", "zero-dual-vector"])
+def test_analyze_reports_unbuildable_specs(tmp_path, capsys, raw, needle):
+    """Bytes that are not UTF-8 or JSON, and specs whose field, index, term
+    or dual vector is refused, give an error report, not a bare stderr line."""
+    path = tmp_path / "spec.json"
+    path.write_bytes(raw)
+    assert needle in _error_report(capsys, path)
 
 
 def test_field_above_max_q_is_an_error(tmp_path, capsys):
@@ -126,10 +163,7 @@ def test_field_above_max_q_is_an_error(tmp_path, capsys):
     PG(2, 8192); geom-info needs no field and still answers."""
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"n": 2, "p": 2, "h": 13, "terms": []}))
-    assert main(["analyze", str(path), "--cap-points", "100000000"]) == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: ") and "4096" in captured.err
-    assert captured.out == ""
+    assert "4096" in _error_report(capsys, path, ["--cap-points", "100000000"])
     rc, out = _run(capsys, ["geom-info", "2", "2", "13"])
     assert rc == 0
     assert json.loads(out)["q"] == 8192
@@ -216,3 +250,22 @@ def test_verify_suites_pass(capsys):
 
 def test_missing_spec_file_errors(capsys):
     assert main(["analyze", "/nonexistent/spec.json"]) == 1
+
+
+def test_verify_reports_an_error_in_a_check_and_keeps_going(capsys, monkeypatch):
+    """A check that raises ValueError fails with its type and message, and
+    the checks after it still run."""
+    def broken(args):
+        def raises():
+            raise ValueError("bad table")
+        return [("raises", raises), ("passes", lambda: None)]
+
+    monkeypatch.setattr(cli, "_suite_bounds", broken)
+    rc, out = _run(capsys, ["verify", "all", "--trials", "1"])
+    assert rc == 1
+    lines = out.splitlines()
+    assert any(ln.startswith("FAIL bounds:raises") and ln.endswith("(ValueError: bad table)")
+               for ln in lines)
+    assert any(ln.startswith("PASS bounds:passes") for ln in lines)
+    assert any(ln.startswith("PASS minimality:char2-fixtures") for ln in lines)
+    assert lines[-1] == "FAILED"

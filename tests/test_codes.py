@@ -236,3 +236,24 @@ def test_codeword_immutable(spaces):
     cw = incidence_codeword(sp, 0)
     with pytest.raises(ValueError):
         cw.values[0] = 3
+
+
+@pytest.mark.parametrize("key,ms", [((2, 2, 2), (1, 2, 3, 7, 21)), ((2, 5, 1), (1, 3, 8, 31)),
+                                    ((3, 3, 1), (1, 2, 5, 40)), ((2, 5, 3), (1, 4, 9))])
+def test_combine_carries_its_support(spaces, key, ms):
+    """The support that combine builds from its term rows, including where
+    terms cancel and where the rows outnumber the points, equals a scan of
+    the values, is read-only, and is what support and weight return; so is
+    the support of partial_combination and the one a Codeword built from
+    values finds on first use."""
+    sp = spaces(*key)
+    rng = np.random.default_rng(sum(key))
+    for m in ms:
+        cw, d = random_combination(sp, m, rng)
+        cancelling, _ = combine(sp, [(0, 1), (1, 1), (1, sp.field.p - 1), (2, 2)])
+        half = list(d.terms)[: (m + 1) // 2]
+        for c in (cw, cancelling, partial_combination(d, half), Codeword(sp, cw.values)):
+            assert np.array_equal(c.support, np.flatnonzero(c.values))
+            assert not c.support.flags.writeable
+            assert support(c) is c.support
+            assert weight(c) == len(c.support)

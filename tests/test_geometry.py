@@ -79,6 +79,10 @@ def test_enumeration_splits_at_x0(spaces, key):
     for i in range(t_inf, sp.num_points):
         t = i - t_inf
         assert table[i].tolist() == [1] + [t // q ** (n - 1 - c) % q for c in range(n)]
+    t = np.arange(sp.num_points - t_inf)
+    for dtype in (np.int32, np.int64):
+        digits = geometry._affine_digits(t.astype(dtype), q, n)
+        assert np.array_equal(np.stack(digits, axis=1), table[t_inf:, 1:])
 
 
 @pytest.mark.parametrize("index", [-5, -1, 21])
@@ -132,13 +136,13 @@ def test_index_vectors_against_reference(spaces, n, p, h):
     rng = np.random.default_rng(15)
     scalars = rng.integers(1, q, size=sp.num_points)
     scaled = mul[scalars[:, None], sp.point_table]
-    got = enum.index_vectors(scaled)
+    got = enum.index_vectors(scaled.T)
     assert np.array_equal(got, np.arange(sp.num_points))
     ref = _reference_index_rows(enum, _reference_normalize_rows(enum, scaled))
     assert np.array_equal(got, ref)
     vecs = rng.integers(0, q, size=(4000, n + 1)).astype(np.int16)
     vecs = vecs[vecs.any(axis=1)]
-    assert np.array_equal(enum.index_vectors(vecs),
+    assert np.array_equal(enum.index_vectors(vecs.T),
                           _reference_index_rows(enum, _reference_normalize_rows(enum, vecs)))
 
 
@@ -152,12 +156,12 @@ def test_index_vectors_sampled_at_2048(spaces):
     idx[:3] = [0, 1, sp.num_points - 1]            # (0,0,1), (0,1,0), (1,q-1,q-1)
     scaled = sp.field.mul_table[rng.integers(1, q, size=len(idx))[:, None],
                                 sp.point_table[idx]]
-    assert np.array_equal(enum.index_vectors(scaled), idx)
+    assert np.array_equal(enum.index_vectors(scaled.T), idx)
     vecs = rng.integers(0, q, size=(20_000, 3)).astype(np.int16)
     vecs[:2000, 0] = 0
     vecs[:1000, 1] = 0
     vecs = vecs[vecs.any(axis=1)]
-    assert np.array_equal(enum.index_vectors(vecs),
+    assert np.array_equal(enum.index_vectors(vecs.T),
                           _reference_index_rows(enum, _reference_normalize_rows(enum, vecs)))
 
 
@@ -166,9 +170,9 @@ def test_index_vectors_rejects_zero_rows(spaces, p, h):
     enum = spaces(2, p, h)._enum
     rows = np.array([[0, 1, 1], [0, 0, 0], [1, 0, 0]], dtype=np.int16)
     with pytest.raises(ValueError, match="zero vector"):
-        enum.index_vectors(rows)
+        enum.index_vectors(rows.T)
     with pytest.raises(ValueError, match="zero vector"):
-        enum.index_vectors(np.zeros((1, 3), dtype=np.int16))
+        enum.index_vectors(np.zeros((1, 3), dtype=np.int16).T)
 
 
 def test_one_array_add_and_one_normalisation():
@@ -308,6 +312,55 @@ def test_pencil_position_is_quotient_point(spaces, key):
         assert np.array_equal(on, expected)
 
 
+def _reference_project(sp, anchor, others):
+    """Reference projection from an anchor: the image y of each x, built
+    from its point-table row by 2-D table gathers, then normalised and
+    indexed by the references."""
+    f = sp.field
+    a, x = sp.point_table[anchor], sp.point_table[others]
+    j = sp.n - int(np.argmax(a[::-1] != 0))
+    off = [i for i in range(sp.n + 1) if i != j]
+    c = f.mul_table[a[off], f.mul_table[f.p - 1, f.inv_table[a[j]]]]
+    y = f.add_table[x[:, off], f.mul_table[c[None, :], x[:, [j]]]]
+    enum = sp._get_enum(sp.n - 1)
+    return _reference_index_rows(enum, _reference_normalize_rows(enum, y))
+
+
+@pytest.mark.parametrize("key", [(2, 2, 3), (2, 5, 1), (2, 3, 2), (3, 2, 2), (3, 5, 1),
+                                 (4, 2, 1), (4, 3, 1)])
+def test_project_against_normalising_reference(spaces, key):
+    """_project, closed form for affine points seen from an anchor at
+    infinity, equals the normalising reference for anchors at infinity and
+    affine anchors, on all other points, on only the points at infinity,
+    on only the affine points, and on random sorted subsets."""
+    sp = spaces(*key)
+    t_inf = theta(sp.n - 1, sp.q)
+    rng = np.random.default_rng(sum(key))
+    anchors = [0, 1, t_inf - 1, t_inf, t_inf + 1, sp.num_points - 1,
+               *rng.choice(sp.num_points, size=4, replace=False)]
+    for a in anchors:
+        rest = np.setdiff1d(np.arange(sp.num_points), [a])
+        subsets = [rest, rest[rest < t_inf], rest[rest >= t_inf], rest[:0],
+                   np.sort(rng.choice(rest, size=len(rest) // 3, replace=False))]
+        for others in subsets:
+            assert np.array_equal(sp._project(int(a), others),
+                                  _reference_project(sp, int(a), others))
+
+
+def test_project_sampled_at_2048(spaces):
+    """PG(2,2048): the closed-form projection of 60000 sampled points equals
+    the normalising reference from anchors at infinity and affine anchors."""
+    sp = spaces(2, 2, 11)
+    t_inf = theta(1, sp.q)
+    rng = np.random.default_rng(17)
+    for a in [0, 1, 2, t_inf - 1, t_inf, sp.num_points - 1,
+              *rng.choice(sp.num_points, size=3, replace=False)]:
+        others = np.setdiff1d(rng.choice(sp.num_points, size=60_000, replace=False), [a])
+        others = np.union1d(others, np.setdiff1d(np.arange(300), [a]))
+        assert np.array_equal(sp._project(int(a), others),
+                              _reference_project(sp, int(a), others))
+
+
 @pytest.mark.parametrize("key", PRIMITIVE_SPACES)
 def test_pencil_counts_against_dot_products(spaces, key):
     """counts[t, v-1] of _pencil_counts is the number of support points of
@@ -320,7 +373,7 @@ def test_pencil_counts_against_dot_products(spaces, key):
         rng.integers(1, p, size=sp.num_points // 3)
     supp = np.nonzero(residual)[0]
     for anchor_pos in (0, len(supp) - 1, int(rng.integers(len(supp)))):
-        counts, cand_idx = _pencil_counts(sp, residual, supp, anchor_pos)
+        counts, cand_idx = _pencil_counts(sp, supp, residual[supp], anchor_pos)
         assert np.array_equal(np.sort(cand_idx), np.sort(sp.pencil_indices(int(supp[anchor_pos]))))
         for t, h in enumerate(cand_idx):
             vals = residual[supp[_dots(sp, supp, h) == 0]]

@@ -133,7 +133,7 @@ def _full_scan_decompose(c):
             return "residual nonzero"
         supp = np.nonzero(residual)[0]
         for anchor_pos in range(len(supp)):
-            counts, cand_idx = _pencil_counts(space, residual, supp, anchor_pos)
+            counts, cand_idx = _pencil_counts(space, supp, residual[supp], anchor_pos)
             best, hyp, alpha, tie = _best_candidate(counts, cand_idx)
             if 2 * best > theta_h:
                 break
@@ -191,16 +191,20 @@ def test_decompose_matches_full_scan_peel(spaces, key, js):
 @pytest.mark.parametrize("p,h", [(2, 3), (3, 2), (5, 1)])
 def test_peel_keeps_support_sorted_and_exact(spaces, p, h):
     """After each of a run of seeded peels, some of which revisit earlier
-    hyperplanes, the merged support equals a full scan of the residual."""
+    hyperplanes and list their points in shuffled order, the merged support
+    equals a full scan of the residual, and the values are aligned with it."""
     sp = spaces(2, p, h)
     rng = np.random.default_rng(p * 10 + h)
     residual = np.zeros(sp.num_points, dtype=np.int16)
-    supp = np.zeros(0, dtype=np.int64)
+    supp, vals = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int16)
     hyps = rng.integers(0, sp.num_hyperplanes, size=12)
     for hyp in np.concatenate([hyps, hyps[::-1]]):
         alpha = int(rng.integers(1, p))
-        supp = _peel(residual, supp, sp.hyperplane_point_indices(int(hyp)), alpha, p)
+        pts = np.random.default_rng(int(hyp)).permutation(sp.hyperplane_point_indices(int(hyp)))
+        residual[pts] = (residual[pts] - alpha) % p
+        supp, vals = _peel(supp, vals, pts, alpha, p)
         assert np.array_equal(supp, np.nonzero(residual)[0])
+        assert np.array_equal(vals, residual[supp])
 
 
 def test_decompose_rejects_non_codeword(spaces):
