@@ -4,8 +4,8 @@ decomposition, and minimality analysis with an exact oracle."""
 __version__ = "0.1.0"
 
 from .ff import Field, field_make, nullspace
-from .geometry import (Hyperplane, ProjLine, ProjPoint, ProjectiveSpace,
-                       SubspacePointSet, space_make)
+from .geometry import (Hyperplane, ProjPoint, ProjectiveSpace, SubspacePointSet,
+                       space_make)
 from .codes import (Codeword, Decomposition, combine, incidence_codeword,
                     partial_combination, restricted_weight, support, weight)
 from .bounds import (BoundContext, Classification, SecantSpectrum, classify,
@@ -21,8 +21,8 @@ from .minimality import (AdjacencyWitnessGraph, HyperplanePartition,
 __all__ = [
     "__version__",
     "Field", "field_make", "nullspace",
-    "Hyperplane", "ProjLine", "ProjPoint", "ProjectiveSpace",
-    "SubspacePointSet", "space_make",
+    "Hyperplane", "ProjPoint", "ProjectiveSpace", "SubspacePointSet",
+    "space_make",
     "Codeword", "Decomposition", "combine", "incidence_codeword",
     "partial_combination", "restricted_weight", "support", "weight",
     "BoundContext", "Classification", "SecantSpectrum", "classify", "delta",

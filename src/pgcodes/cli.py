@@ -14,8 +14,8 @@ where H is either a hyperplane index or a dual coordinate list, or
 {"fixture": "szonyi"|"pencil"|"no-hole-line"|"random-j", "n":.., "p":..,
 "h":.., "j":.., "seed":..}.
 
-Exit codes: 0 success, 1 error or failed check, 2 completed with
-out-of-regime warnings (suppress with --no-regime-exit).
+Exit codes: 0 success, 1 error, usage error or failed check, 2 completed
+with out-of-regime warnings (suppress with --no-regime-exit).
 """
 
 from __future__ import annotations
@@ -59,7 +59,14 @@ def _meta(input_bytes: bytes, flags) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_geom_info(args) -> int:
-    ctx = BoundContext(args.n, args.p, args.h)
+    """The table for (n, p, h), or a report of only `error` and `meta`, with
+    empty regime flags and exit code 1, when (n, p, h) is refused."""
+    key = f"geom-info:{args.n}:{args.p}:{args.h}".encode()
+    try:
+        ctx = BoundContext(args.n, args.p, args.h)
+    except ValueError as exc:
+        _emit({"error": str(exc), "meta": _meta(key, [])}, args.out)
+        return 1
     q = ctx.q
     report = {
         "n": ctx.n, "p": ctx.p, "h": ctx.h, "q": q,
@@ -72,7 +79,6 @@ def cmd_geom_info(args) -> int:
         report["U"] = [[i, bounds.thick_bound_U(i, ctx)] for i in range(1, ctx.n + 1)]
     else:
         report["delta"] = report["W"] = report["U"] = None
-    key = f"geom-info:{ctx.n}:{ctx.p}:{ctx.h}".encode()
     report["meta"] = _meta(key, flags)
     _emit(report, args.out)
     if flags and not args.no_regime_exit:
@@ -140,17 +146,24 @@ def _build_from_spec(spec: dict, cap_points: Optional[int]):
 
 
 def cmd_fixture(args) -> int:
+    """The expanded spec, or a report of only `error` and `meta` (the
+    fixture's name and the version) and exit code 1 when it cannot be built."""
     spec = {"n": args.n, "p": args.p, "h": args.h, "fixture": args.name}
     if args.name == "random-j":
         spec["j"] = args.j
         spec["seed"] = args.seed
-    space, cw, info = _build_from_spec(spec, args.cap_points)
-    d = minimality.decompose(cw) if codes.weight(cw) else None
+    meta = {"fixture": args.name, "version": __version__}
+    try:
+        space, cw, info = _build_from_spec(spec, args.cap_points)
+        d = minimality.decompose(cw) if codes.weight(cw) else None
+    except ValueError as exc:
+        _emit({"error": str(exc), "meta": meta}, args.out)
+        return 1
     expanded = {
         "n": args.n, "p": args.p, "h": args.h,
         "terms": [[list(space.hyperplane(hidx).dual_coords), coef]
                   for hidx, coef in (d.terms.items() if d else [])],
-        "meta": {"fixture": args.name, "info": info, "version": __version__},
+        "meta": {**meta, "info": info},
     }
     _emit(expanded, args.out)
     return 0
@@ -373,20 +386,46 @@ def cmd_verify(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-def _add_common_caps(sub):
-    sub.add_argument("--threads", type=int, default=1)
-    sub.add_argument("--cap-points", type=int, default=None)
-    sub.add_argument("--cap-lines", type=int, default=None,
-                     help="refuse a secant spectrum of a space with more lines "
-                          f"(default {bounds.SPECTRUM_LINE_CAP:,})")
-    sub.add_argument("--cap-oracle", type=int, default=minimality.DEFAULT_ORACLE_CAP)
-    sub.add_argument("--out", default=None, help="write the report to a file")
-    sub.add_argument("--no-regime-exit", action="store_true",
-                     help="exit 0 instead of 2 on out-of-regime warnings")
+class _Parser(argparse.ArgumentParser):
+    """A usage error raises ValueError, so `main` reports it like any other
+    error, with exit code 1: argparse's own exit code 2 means out-of-regime
+    warnings here.  Subparsers are built with the same class."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _thread_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+# each subcommand declares the options it reads, by name
+_OPTIONS = {
+    "--threads": dict(type=_thread_count, default=1),
+    "--cap-points": dict(type=int, default=None),
+    "--cap-lines": dict(type=int, default=None,
+                        help="refuse a secant spectrum of a space with more lines "
+                             f"(default {bounds.SPECTRUM_LINE_CAP:,})"),
+    "--cap-oracle": dict(type=int, default=minimality.DEFAULT_ORACLE_CAP),
+    "--out": dict(default=None, help="write the report to a file"),
+    "--no-regime-exit": dict(action="store_true",
+                             help="exit 0 instead of 2 on out-of-regime warnings"),
+}
+
+
+def _add_options(sub, *names):
+    for name in names:
+        sub.add_argument(name, **_OPTIONS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pgcodes",
         description="Hyperplane incidence codes of PG(n,q): analysis tools")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -395,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("n", type=int)
     g.add_argument("p", type=int)
     g.add_argument("h", type=int)
-    _add_common_caps(g)
+    _add_options(g, "--out", "--no-regime-exit")
     g.set_defaults(func=cmd_geom_info)
 
     a = sub.add_parser("analyze", help="analyse a codeword spec file")
@@ -404,7 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--spectrum", action="store_true")
     a.add_argument("--minimality", action="store_true")
     a.add_argument("--oracle", action="store_true")
-    _add_common_caps(a)
+    _add_options(a, "--threads", "--cap-points", "--cap-lines", "--cap-oracle",
+                 "--out", "--no-regime-exit")
     a.set_defaults(func=cmd_analyze)
 
     v = sub.add_parser("verify", help="run a verification suite")
@@ -415,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--n", type=int, default=2)
     v.add_argument("--p", type=int, default=2)
     v.add_argument("--h", type=int, default=5)
-    _add_common_caps(v)
+    _add_options(v, "--threads", "--cap-points", "--cap-lines", "--cap-oracle")
     v.set_defaults(func=cmd_verify)
 
     f = sub.add_parser("fixture", help="emit the expanded spec of a named fixture")
@@ -425,17 +465,14 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--h", type=int, default=3)
     f.add_argument("--j", type=int, default=3)
     f.add_argument("--seed", type=int, default=0)
-    _add_common_caps(f)
+    _add_options(f, "--cap-points", "--out")
     f.set_defaults(func=cmd_fixture)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if args.threads < 1:
-            raise ValueError(f"--threads must be >= 1, got {args.threads}")
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -74,11 +74,18 @@ class Codeword:
         return (isinstance(other, Codeword) and self.space is other.space
                 and np.array_equal(self.values, other.values))
 
+    def _values_of(self, other: "Codeword") -> np.ndarray:
+        """other's values, refused unless other lies in this codeword's space:
+        two spaces with the same point count would otherwise add silently."""
+        if other.space is not self.space:
+            raise ValueError("codewords of different spaces do not add")
+        return other.values
+
     def __add__(self, other: "Codeword") -> "Codeword":
-        return Codeword(self.space, (self.values + other.values) % self.space.field.p)
+        return Codeword(self.space, (self.values + self._values_of(other)) % self.space.field.p)
 
     def __sub__(self, other: "Codeword") -> "Codeword":
-        return Codeword(self.space, (self.values - other.values) % self.space.field.p)
+        return Codeword(self.space, (self.values - self._values_of(other)) % self.space.field.p)
 
     def scaled(self, alpha: int) -> "Codeword":
         return Codeword(self.space, (self.values.astype(np.int64) * alpha) % self.space.field.p)
@@ -181,11 +188,6 @@ class Decomposition:
             positions.setflags(write=False)
             self._union = (union, positions)
         return self._union
-
-    def coefficient(self, h: Union[Hyperplane, int]) -> int:
-        """Extended evaluation on hyperplanes: the coefficient, or 0."""
-        key = h.index if isinstance(h, Hyperplane) else int(h)
-        return self.terms.get(key, 0)
 
     def to_json(self) -> dict:
         return {"terms": [[h, c] for h, c in self.terms.items()]}

@@ -8,15 +8,15 @@ reproducible bit for bit.
 
 There is one representation.  Fields are accepted up to q = MAX_Q = 4096
 and refused above it when constructed.  Every accepted field carries the
-same dense lookup tables (exp, inverses, negatives, and q x q add/mul
-tables), so the geometry layer runs field arithmetic on whole numpy arrays
-via gathers, and each scalar op is one table read.  Two O(q) log-domain
-tables divide whole arrays: `log_table` (discrete logs to the generator,
-with log 0 the sentinel 2(q - 1)) and `exp_z` (the exp table over two
-periods followed by zeros), so exp_z[log a - log b + q - 1] is a / b, and 0
-when a = 0.  Arrays are added by `Field.array_add` alone: XOR when p = 2,
-where the encoding's base-2 digits add without carry, and otherwise one
-flat gather from `add_table`.
+same dense lookup tables (inverses, and q x q add/mul tables), so the
+geometry layer runs field arithmetic on whole numpy arrays via gathers, and
+each scalar op is one table read.  Two O(q) log-domain tables divide whole
+arrays: `log_table` (discrete logs to the generator, with log 0 the
+sentinel 2(q - 1)) and `exp_z` (the exp table over two periods followed by
+zeros), so exp_z[log a - log b + q - 1] is a / b, and 0 when a = 0.
+Arrays are added by `Field.array_add` alone: XOR when p = 2, where the
+encoding's base-2 digits add without carry, and otherwise one flat gather
+from `add_table`.
 """
 
 from __future__ import annotations
@@ -280,14 +280,12 @@ class Field:
         exp_z = np.zeros(3 * q - 2, dtype=np.int16)
         exp_z[:2 * (q - 1)] = exp
 
-        self._exp = exp
-        self._neg = mul[p - 1].astype(np.int32)      # -1 is encoded as p - 1
         self.add_table = add
         self.mul_table = mul
         self.inv_table = inv
         self.log_table = log16
         self.exp_z = exp_z
-        for tbl in (exp, self._neg, add, mul, inv, log16, exp_z):
+        for tbl in (add, mul, inv, log16, exp_z):
             tbl.setflags(write=False)
 
     def _spot_check_order(self):

@@ -1,4 +1,4 @@
-"""Points, hyperplanes and lines of PG(n, q) with exact incidence.
+"""Points, hyperplanes and subspace spans of PG(n, q) with exact incidence.
 
 Representation
 --------------
@@ -28,7 +28,6 @@ import numpy as np
 from .ff import Field
 
 DEFAULT_POINT_CAP = 10_000_000
-DEFAULT_LINE_CAP = 5_000_000
 # The quotient pencil table (see `ProjectiveSpace._quotient_rows`) is kept
 # while its int32 entries fit this many bytes: 7.9 MB at PG(3,125), 152 MB
 # at PG(4,32).  Above it the rows are computed on each call.
@@ -56,14 +55,6 @@ class ProjPoint:
 class Hyperplane:
     dual_coords: tuple[int, ...]
     index: int
-
-
-@dataclass(frozen=True)
-class ProjLine:
-    """A line, identified by its two lowest point indices."""
-
-    anchor: tuple[int, int]
-    point_set: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -230,38 +221,17 @@ class ProjectiveSpace:
     def hyperplane_index(self, dual_coords: Sequence[int]) -> int:
         return self.point_index(dual_coords)
 
-    # -- incidence --------------------------------------------------------------
-
-    def _coords_of_point(self, p: Union[ProjPoint, int]) -> np.ndarray:
-        if isinstance(p, ProjPoint):
-            return np.asarray(p.coords, dtype=np.int16)
-        return self.point_table[self._checked_index(int(p), "point")]
-
-    def incident(self, p: Union[ProjPoint, int], h: Union[Hyperplane, int]) -> bool:
-        """True iff the GF(q) dot product of point and dual vector vanishes."""
-        pc = self._coords_of_point(p)
-        hc = (np.asarray(h.dual_coords, dtype=np.int16) if isinstance(h, Hyperplane)
-              else self.hyperplane_table[self._checked_index(int(h), "hyperplane")])
-        f = self.field
-        acc = 0
-        for a, b in zip(pc, hc):
-            acc = f.add(acc, f.mul(int(a), int(b)))
-        return acc == 0
-
-    # -- complements and spans ----------------------------------------------------
-
-    def span_indices(self, basis_rows: np.ndarray) -> np.ndarray:
-        """Indices of all theta(d) points of the span of d+1 independent rows."""
-        basis_rows = np.ascontiguousarray(basis_rows, dtype=np.int16)
-        tuples = self._get_enum(basis_rows.shape[0] - 1).table
-        raw = _f_matmul(self.field, tuples, basis_rows)
-        return self._enum.index_vectors(raw.T)
+    # -- spans ----------------------------------------------------------------------
 
     def span_points(self, basis: Sequence[Union[ProjPoint, int]]) -> SubspacePointSet:
-        """Point set of the projective span of independent points."""
-        rows = np.vstack([self._coords_of_point(b) for b in basis])
+        """Point set of the projective span of d+1 independent points: the
+        theta(d) points of PG(d, q) pushed through the basis rows."""
+        rows = np.vstack([np.asarray(b.coords, dtype=np.int16) if isinstance(b, ProjPoint)
+                          else self.point_table[self._checked_index(int(b), "point")]
+                          for b in basis])
+        raw = _f_matmul(self.field, self._get_enum(len(rows) - 1).table, rows)
         try:
-            idx = np.sort(self.span_indices(rows))
+            idx = np.sort(self._enum.index_vectors(raw.T))
         except ValueError:          # a dependent basis spans a zero vector
             raise ValueError("basis points are linearly dependent") from None
         basis_idx = tuple(
@@ -391,50 +361,11 @@ class ProjectiveSpace:
             return self._quotient_table[ys]
         return self._orthogonal_indices(d, ys)
 
-    def hyperplanes_through(self, p: Union[ProjPoint, int]) -> list[Hyperplane]:
-        idx = np.sort(self.pencil_indices(p))
-        return [self.hyperplane(int(i)) for i in idx]
-
     # -- lines ------------------------------------------------------------------
-
-    def line_through(self, p: Union[ProjPoint, int], q_: Union[ProjPoint, int]) -> ProjLine:
-        pc = self._coords_of_point(p)
-        qc = self._coords_of_point(q_)
-        pi = p.index if isinstance(p, ProjPoint) else int(p)
-        qi = q_.index if isinstance(q_, ProjPoint) else int(q_)
-        if pi == qi:
-            raise ValueError("line_through requires two distinct points")
-        idx = np.sort(self.span_indices(np.vstack([pc, qc])))
-        return ProjLine((int(idx[0]), int(idx[1])), tuple(int(i) for i in idx))
 
     def line_count(self) -> int:
         t = self.num_points
         return t * (t - 1) // ((self.q + 1) * self.q)
-
-    def lines_of(self, max_lines: Optional[int] = None) -> Iterator[ProjLine]:
-        """Yield every line exactly once (guarded by a line-count cap)."""
-        cap = DEFAULT_LINE_CAP if max_lines is None else max_lines
-        total = self.line_count()
-        if total > cap:
-            raise ValueError(
-                f"PG({self.n},{self.q}) has {total} lines, exceeding the cap of {cap}")
-        if self.n == 2:
-            # self-dual plane: lines are the hyperplanes
-            for h in range(self.num_hyperplanes):
-                idx = np.sort(self.hyperplane_point_indices(h))
-                yield ProjLine((int(idx[0]), int(idx[1])),
-                               tuple(int(i) for i in idx))
-            return
-        reps = self._get_enum(self.n - 1).table
-        for i in range(self.num_points):
-            pc = self.point_table[i]
-            # directions: the points of PG(n-1, q) with a 0 inserted at pc's leading 1
-            dirs = np.insert(reps, int(np.argmax(pc != 0)), 0, axis=1)
-            for d in range(dirs.shape[0]):
-                idx = np.sort(self.span_indices(np.vstack([pc, dirs[d]])))
-                if int(idx[0]) == i:
-                    yield ProjLine((int(idx[0]), int(idx[1])),
-                                   tuple(int(v) for v in idx))
 
     def __repr__(self):
         return f"ProjectiveSpace(n={self.n}, q={self.q}, points={self.num_points})"

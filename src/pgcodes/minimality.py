@@ -190,8 +190,7 @@ def _peel(supp: np.ndarray, vals: np.ndarray, pts: np.ndarray,
     return new_supp, new_vals
 
 
-def decompose(c: Codeword, ctx: Optional[BoundContext] = None,
-              max_peels: Optional[int] = None) -> Decomposition:
+def decompose(c: Codeword, ctx: Optional[BoundContext] = None) -> Decomposition:
     """Write a small-weight codeword as its unique hyperplane combination.
 
     Peeling step: scan support anchors in index order; the first anchor whose
@@ -216,9 +215,7 @@ def decompose(c: Codeword, ctx: Optional[BoundContext] = None,
     in_regime = not flags
 
     m_est = -(-wt // theta_h)  # ceil
-    if max_peels is not None:
-        cap = max_peels
-    elif ctx.h >= 2:
+    if ctx.h >= 2:
         cap = delta_cap = bounds.delta(space.n, ctx) - 1
         if not in_regime:
             cap = max(delta_cap, m_est + 2)

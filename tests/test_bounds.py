@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -157,11 +158,48 @@ def test_spectrum_single_line(spaces):
     spec = secant_spectrum(incidence_codeword(sp, 0))
     assert spec.histogram == {1: 1056, 33: 1}
     assert sum(spec.histogram.values()) == spec.total_lines == 1057
+    # the line cap admits exactly the space's line count
+    assert secant_spectrum(incidence_codeword(sp, 0), max_lines=1057).histogram == spec.histogram
+    with pytest.raises(ValueError, match="line count 1057 exceeds the cap of 1056"):
+        secant_spectrum(incidence_codeword(sp, 0), max_lines=1056)
+
+
+def _lines(sp):
+    """Every line of sp once, as its sorted point indices.  In the plane the
+    lines are the hyperplanes.  Otherwise point i is joined to each
+    direction, a point of PG(n-1, q) with a 0 inserted at i's leading 1, and
+    the line is kept where i is its lowest point."""
+    if sp.n == 2:
+        return [tuple(np.sort(sp.hyperplane_point_indices(h)).tolist())
+                for h in range(sp.num_hyperplanes)]
+    reps = sp._get_enum(sp.n - 1).table
+    dirs = [[sp.point_index(d) for d in np.insert(reps, k, 0, axis=1)]
+            for k in range(sp.n + 1)]
+    lines = []
+    for i in range(sp.num_points):
+        for d in dirs[int(np.argmax(sp.point_table[i] != 0))]:
+            pts = sp.span_points([i, d]).point_indices
+            if pts[0] == i:
+                lines.append(pts)
+    return lines
+
+
+def test_line_scan_pg32_against_pair_oracle(spaces):
+    """Brute-force oracle: canonical lines from every point pair.  The plane
+    PG(2,5) has its 31 lines."""
+    sp = spaces(3, 2, 1)
+    oracle = set()
+    for a, b in combinations(range(sp.num_points), 2):
+        oracle.add(sp.span_points([a, b]).point_indices)
+    enumerated = _lines(sp)
+    assert len(enumerated) == len(set(enumerated)) == 35
+    assert set(enumerated) == oracle
+    assert len(_lines(spaces(2, 5, 1))) == 31
 
 
 def _line_scan(sp, cws):
     """Independent oracle: intersect every enumerated line with each support."""
-    lines = [np.asarray(ln.point_set) for ln in sp.lines_of()]
+    lines = [np.asarray(ln) for ln in _lines(sp)]
     return [dict(Counter(int(np.count_nonzero(cw.values[ln])) for ln in lines))
             for cw in cws]
 

@@ -1,5 +1,6 @@
 """Command-line interface: reports, exit codes, determinism."""
 
+import argparse
 import hashlib
 import json
 
@@ -54,6 +55,21 @@ def test_geom_info_h1_flags(capsys):
     assert "h=1" in rep["meta"]["regime_flags"]
     rc2, _ = _run(capsys, ["geom-info", "2", "5", "1", "--no-regime-exit"])
     assert rc2 == 0
+
+
+@pytest.mark.parametrize("argv,meta", [
+    (["geom-info", "2", "4", "3"],
+     {"input_sha256": hashlib.sha256(b"geom-info:2:4:3").hexdigest(),
+      "regime_flags": [], "version": "0.1.0"}),
+    (["fixture", "szonyi", "--p", "4"], {"fixture": "szonyi", "version": "0.1.0"}),
+])
+def test_refused_parameters_give_an_error_report(capsys, argv, meta):
+    """geom-info and fixture refuse p = 4 as analyze refuses a spec: a report
+    of only `error` and `meta`, exit 1 and nothing on stderr."""
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out) == {"error": "p = 4 is not prime", "meta": meta}
 
 
 def test_geom_info_bad_params(capsys):
@@ -175,6 +191,46 @@ def test_threads_below_one_is_an_error(tmp_path, capsys):
     path.write_text(json.dumps(spec))
     assert main(["analyze", str(path), "--spectrum", "--threads", "0"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze"],
+    ["geom-info", "2", "5", "x"],
+    ["verify", "bounds", "--threads", "0"],
+    ["geom-info", "2", "5", "3", "--cap-oracle", "7"],
+    ["geom-info", "2", "5", "3", "--threads", "3"],
+    ["verify", "bounds", "--out", "report.json"],
+    ["fixture", "szonyi", "--no-regime-exit"],
+])
+def test_usage_errors_exit_one(tmp_path, monkeypatch, capsys, argv):
+    """A usage error, an option the subcommand does not take among them,
+    exits 1 with `error:` on stderr, not argparse's 2, which means
+    out-of-regime warnings; it prints no report and writes no file."""
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+    assert not any(tmp_path.iterdir())
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    """Pinned by introspection, so no option is declared for a subcommand
+    that would accept it and then ignore it."""
+    expected = {
+        "geom-info": {"--out", "--no-regime-exit"},
+        "analyze": {"--decompose", "--spectrum", "--minimality", "--oracle", "--threads",
+                    "--cap-points", "--cap-lines", "--cap-oracle", "--out",
+                    "--no-regime-exit"},
+        "verify": {"--seed", "--trials", "--n", "--p", "--h", "--threads", "--cap-points",
+                   "--cap-lines", "--cap-oracle"},
+        "fixture": {"--n", "--p", "--h", "--j", "--seed", "--cap-points", "--out"},
+    }
+    subparsers, = (a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+    options = {name: {s for action in sub._actions for s in action.option_strings} - {"-h", "--help"}
+               for name, sub in subparsers.choices.items()}
+    assert options == expected
 
 
 def test_analyze_empty_terms_degenerate(tmp_path, capsys):

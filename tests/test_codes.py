@@ -238,6 +238,17 @@ def test_codeword_immutable(spaces):
         cw.values[0] = 3
 
 
+def test_codewords_of_different_spaces_do_not_add(spaces):
+    """PG(2,5) and PG(4,2) both have 31 points, so only the space tells
+    their codewords apart: neither sum nor difference is taken."""
+    a = incidence_codeword(spaces(2, 5, 1), 0)
+    b = incidence_codeword(spaces(4, 2, 1), 0)
+    with pytest.raises(ValueError, match="different spaces"):
+        a + b
+    with pytest.raises(ValueError, match="different spaces"):
+        a - b
+
+
 @pytest.mark.parametrize("key,ms", [((2, 2, 2), (1, 2, 3, 7, 21)), ((2, 5, 1), (1, 3, 8, 31)),
                                     ((3, 3, 1), (1, 2, 5, 40)), ((2, 5, 3), (1, 4, 9))])
 def test_combine_carries_its_support(spaces, key, ms):

@@ -69,7 +69,9 @@ def test_tables_digest():
     for p, h in TABLE_FIELDS:
         f = field_make(p, h)
         digest.update(repr(f.modulus).encode())
-        for t in (f._exp, f.add_table, f.mul_table, f.inv_table, f._neg):
+        # exp over two periods and negation by -1 = p - 1, as int32
+        for t in (f.exp_z[:2 * (f.q - 1)].astype(np.int32), f.add_table, f.mul_table,
+                  f.inv_table, f.mul_table[f.p - 1].astype(np.int32)):
             digest.update(t.dtype.str.encode())
             digest.update(repr(t.shape).encode())
             digest.update(t.tobytes())
@@ -124,7 +126,7 @@ def test_generator_is_lowest_primitive_element():
                 cur, k = f.mul(cur, g), k + 1
             return k
 
-        assert int(f._exp[1]) == next(g for g in range(1, q) if order(g) == q - 1), q
+        assert int(f.exp_z[1]) == next(g for g in range(1, q) if order(g) == q - 1), q
 
 
 def test_gf32_inverses_exhaustive_with_search_oracle():
