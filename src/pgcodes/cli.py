@@ -46,10 +46,11 @@ def _emit(report: dict, out: Optional[str]):
         print(text)
 
 
-def _meta(input_bytes: bytes, flags) -> dict:
+def _meta(input_bytes: Optional[bytes], flags) -> dict:
+    """The report's meta; `input_sha256` is null when no bytes were read."""
     return {
         "version": __version__,
-        "input_sha256": hashlib.sha256(input_bytes).hexdigest(),
+        "input_sha256": None if input_bytes is None else hashlib.sha256(input_bytes).hexdigest(),
         "regime_flags": list(flags),
     }
 
@@ -174,8 +175,12 @@ def cmd_fixture(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_analyze(args) -> int:
-    with open(args.spec, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(args.spec, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        _emit({"error": str(exc), "meta": _meta(None, [])}, args.out)
+        return 1
     # the space, its tables and the codewords are freed when _analyze
     # returns, so serialising a long report does not stack on top of them
     report, rc = _analyze(args, raw)

@@ -63,13 +63,6 @@ class Codeword:
             self._support = supp
         return self._support
 
-    @classmethod
-    def zero(cls, space: ProjectiveSpace) -> "Codeword":
-        return cls(space, np.zeros(space.num_points, dtype=np.int16))
-
-    def value(self, point_index: int) -> int:
-        return int(self.values[self.space._checked_index(point_index, "point")])
-
     def __eq__(self, other):
         return (isinstance(other, Codeword) and self.space is other.space
                 and np.array_equal(self.values, other.values))
@@ -161,15 +154,17 @@ class Decomposition:
     def m(self) -> int:
         return len(self.terms)
 
-    def _union_positions(self) -> tuple[np.ndarray, np.ndarray]:
-        """The sorted union U of the term hyperplanes' points, and an
+    def _union_positions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The sorted union U of the term hyperplanes' points; an
         m x theta(n-1) array whose row r holds the positions in U of the
-        points of the r-th hyperplane of `terms`.
+        points of the r-th hyperplane of `terms`; and the positions in U of
+        c's holes, where two or more terms cancel.
 
         Filled on first use and kept, so the minimality stages share one U.
         One sort of the concatenated point lists finds U as the entries that
         differ from their predecessor, and its inverse permutation gives the
-        positions, so no per-term search is needed.
+        positions, so no per-term search is needed.  A point's entries are
+        adjacent in that sort, so one `reduceat` sums c there.
         """
         if self._union is None:
             sp = self.space
@@ -181,13 +176,24 @@ class Decomposition:
             first = np.ones(len(ordered), dtype=bool)
             first[1:] = ordered[1:] != ordered[:-1]
             union = ordered[first]
-            positions = np.empty(len(flat), dtype=np.int64)
-            positions[order] = np.cumsum(first) - 1
-            positions = positions.reshape(rows.shape)
-            union.setflags(write=False)
-            positions.setflags(write=False)
-            self._union = (union, positions)
+            positions = np.empty(rows.shape, dtype=np.int64)
+            positions.ravel()[order] = np.cumsum(first) - 1
+            coefs = np.repeat(np.array(list(self.terms.values()), dtype=np.int64), rows.shape[1])
+            c_on_union = np.add.reduceat(coefs[order], np.flatnonzero(first)) % sp.field.p
+            holes = np.flatnonzero(c_on_union == 0)
+            for arr in (union, positions, holes):
+                arr.setflags(write=False)
+            self._union = (union, positions, holes)
         return self._union
+
+    def _union_sum(self, coefs) -> np.ndarray:
+        """sum_r coefs[r] * [H_r] on U, reduced mod p, for one coefficient per
+        term in the order of `terms`: one scatter per term, in int64."""
+        union, positions, _ = self._union_positions()
+        vals = np.zeros(len(union), dtype=np.int64)
+        for pos, a in zip(positions, coefs):
+            vals[pos] += a
+        return vals % self.space.field.p
 
     def to_json(self) -> dict:
         return {"terms": [[h, c] for h, c in self.terms.items()]}

@@ -198,18 +198,10 @@ class ProjectiveSpace:
         # duality: normalised dual vectors enumerate identically
         return self._enum.table
 
-    def point(self, index: int) -> ProjPoint:
-        coords = tuple(int(c) for c in self.point_table[self._checked_index(index, "point")])
-        return ProjPoint(coords, index)
-
     def hyperplane(self, index: int) -> Hyperplane:
         coords = tuple(int(c) for c in
                        self.hyperplane_table[self._checked_index(index, "hyperplane")])
         return Hyperplane(coords, index)
-
-    def normalize(self, coords: Sequence[int]) -> tuple[int, ...]:
-        index = self._enum.index_vectors(np.asarray([coords], dtype=np.int16).T)[0]
-        return tuple(int(c) for c in self.point_table[index])
 
     def point_index(self, coords: Sequence[int]) -> int:
         if len(coords) != self.n + 1:

@@ -263,27 +263,25 @@ def decompose(c: Codeword, ctx: Optional[BoundContext] = None) -> Decomposition:
 # Partition refinement over the hole-witness adjacency graph
 # ---------------------------------------------------------------------------
 
-def _union_values(d: Decomposition, blocks: Sequence[Iterable[int]]
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted union U of the term hyperplanes' points, and one int16 row
-    of F_p values on U per block of terms: the block's partial combination.
+def _hole_values(d: Decomposition, blocks: Sequence[Iterable[int]]
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """c's holes as points, and one int64 row of F_p values over them per
+    block of terms: the block's partial combination there.
 
-    Every partial combination vanishes off U, so refinement, holes, witness
-    and oracle need no other points.  U and each term's positions in it are
-    computed once per decomposition; a row then costs one scatter per term,
-    reduced mod p term by term so that it stays below 2p.  With singleton
-    blocks the rows form the m x |U| term matrix T: term r's coefficient
-    where U[k] lies on its hyperplane, else 0.
+    Every edge witness, exceptional hole and column of the witness and
+    oracle systems is a hole.  A block's row is one scatter per term, whose
+    points off the holes go to a spare last column.
     """
-    p = d.space.field.p
-    union, positions = d._union_positions()
-    where = dict(zip(d.terms, positions))
-    vals = np.zeros((len(blocks), len(union)), dtype=np.int16)
+    union, positions, holes = d._union_positions()
+    column = np.full(len(union), len(holes))
+    column[holes] = np.arange(len(holes))
+    where = dict(zip(d.terms, column[positions]))
+    vals = np.zeros((len(blocks), len(holes) + 1), dtype=np.int64)
     for row, block in zip(vals, blocks):
         for h in block:
-            pos = where[h]
-            row[pos] = (row[pos] + d.terms[h]) % p
-    return union, vals
+            row[where[h]] += d.terms[h]
+    vals %= d.space.field.p
+    return union[holes], vals[:, :-1]
 
 
 def _on_union(space: ProjectiveSpace, union: np.ndarray, values: np.ndarray) -> Codeword:
@@ -300,14 +298,13 @@ def build_adjacency(d: Decomposition, partition: HyperplanePartition) -> Adjacen
     if partition.size != 0 and set().union(*partition.blocks) != set(d.terms):
         raise ValueError("partition does not cover the decomposition's hyperplanes")
 
-    union, vals = _union_values(d, partition.blocks)
+    points, vals = _hole_values(d, partition.blocks)
     nz = vals != 0
-    mask = (vals.sum(axis=0) % d.space.field.p == 0) & (nz.sum(axis=0) == 2)
-    cols = np.nonzero(mask)[0]
+    cols = np.flatnonzero(nz.sum(axis=0) == 2)
     # the two blocks nonzero at each witness column, lower block first
     pairs = np.nonzero(nz[:, cols].T)[1].reshape(-1, 2)
     _, first = np.unique(pairs[:, 0] * partition.size + pairs[:, 1], return_index=True)
-    edges = tuple((int(pairs[k, 0]), int(pairs[k, 1]), int(union[cols[k]])) for k in first)
+    edges = tuple((int(pairs[k, 0]), int(pairs[k, 1]), int(points[cols[k]])) for k in first)
     return AdjacencyWitnessGraph(partition.size, edges)
 
 
@@ -347,37 +344,34 @@ def refine_to_fixpoint(d: Decomposition
 
 def exceptional_holes(d: Decomposition, fixpoint: HyperplanePartition) -> tuple[int, ...]:
     """Holes of c at which some fixpoint block's partial combination is nonzero."""
-    union, vals = _union_values(d, fixpoint.blocks)
-    mask = (vals.sum(axis=0) % d.space.field.p == 0) & (vals != 0).any(axis=0)
-    return tuple(int(i) for i in union[mask])
+    points, vals = _hole_values(d, fixpoint.blocks)
+    return tuple(int(i) for i in points[vals.any(axis=0)])
 
 
 def build_witness(d: Decomposition, fixpoint: HyperplanePartition,
                   holes: Sequence[int]) -> Codeword:
     """Solve the hole system for a subsupport codeword that is not a scalar
-    multiple of c.  Requires |holes| <= |blocks| - 2; raises NoWitnessError
-    when every solution is proportional to c."""
-    nblocks = fixpoint.size
-    r = len(holes)
-    if r > nblocks - 2:
-        raise ValueError(f"witness construction needs r <= blocks - 2 (r={r}, blocks={nblocks})")
-    p = d.space.field.p
-    union, vals = _union_values(d, fixpoint.blocks)
-    cvals = vals.sum(axis=0, dtype=_sum_dtype(nblocks, p)) % p
-    # a hole off U would only add a zero equation
-    found = _first_escape(vals, np.isin(union, np.asarray(holes, dtype=np.int64)), cvals, p)
+    multiple of c.  Requires |holes| <= |blocks| - 2, each a hole of c or a
+    point off U, which adds no equation; raises NoWitnessError when every
+    solution is proportional to c."""
+    if len(holes) > fixpoint.size - 2:
+        raise ValueError("witness construction needs r <= blocks - 2 "
+                         f"(r={len(holes)}, blocks={fixpoint.size})")
+    union, _, hole_positions = d._union_positions()
+    given = np.asarray(holes, dtype=np.int64)
+    at = np.searchsorted(union, given)
+    at = at[union[np.minimum(at, len(union) - 1)] == given]          # the given points on U
+    if np.any(d._union_sum(d.terms.values())[at]):
+        raise ValueError("a given point of U lies on supp(c), not on a hole")
+    system = _hole_values(d, fixpoint.blocks)[1][:, np.searchsorted(hole_positions, at)]
+    block_of = {h: b for b, block in enumerate(fixpoint.blocks) for h in block}
+    found = _first_escape(d, system, lambda beta: [beta[block_of[h]] * a
+                                                   for h, a in d.terms.items()])
     if found is None:
         raise NoWitnessError("every solution of the hole system is a scalar multiple of c")
-    w = found[1]
-    if np.any((w != 0) & (cvals == 0)):
+    if np.any(found[1][hole_positions]):
         raise RuntimeError("witness support escapes supp(c)")
-    return _on_union(d.space, union, w)
-
-
-def _sum_dtype(m: int, p: int):
-    """int32 when m products of two residues mod p sum exactly in it, which
-    holds for every m that the default oracle cap admits; int64 beyond."""
-    return np.int32 if m * (p - 1) ** 2 < 2 ** 31 else np.int64
+    return _on_union(d.space, union, found[1])
 
 
 def _is_scalar_multiple(a: np.ndarray, b: np.ndarray, p: int) -> bool:
@@ -388,21 +382,24 @@ def _is_scalar_multiple(a: np.ndarray, b: np.ndarray, p: int) -> bool:
     return np.array_equal(a, lam * b % p)
 
 
-def _first_escape(rows: np.ndarray, mask: np.ndarray, c: np.ndarray, p: int
+def _first_escape(d: Decomposition, system: np.ndarray, coefs_of
                   ) -> Optional[tuple[tuple[int, ...], np.ndarray]]:
-    """The first beta in the null space of rows' masked columns whose values
-    beta . rows (mod p) are not a multiple of c, with those values, or None.
+    """The first beta in the null space of the columns of `system` (one row
+    per unknown) whose values sum_r coefs_of(beta)[r] * [H_r] on U are not a
+    multiple of c, with those values, or None.
 
     `nullspace` lists one basis vector per free coordinate f, in increasing
     f; it is 1 at f and 0 above it, and the others are 0 at f.  So with k =
     sum beta_i p^i, a kernel vector of lower k than the first basis vector
     that escapes span(c) combines earlier ones and stays in span(c).
     """
+    p = d.space.field.p
+    c_on_union = d._union_sum(d.terms.values())
     # a repeated column repeats an equation; the basis is the same in any order
-    cols = list(set(map(tuple, rows[:, mask].T.tolist())))
-    for beta in nullspace(cols, p, len(rows)):
-        values = (np.asarray(beta, dtype=_sum_dtype(len(rows), p)) @ rows) % p
-        if not _is_scalar_multiple(values, c, p):
+    cols = list(set(map(tuple, system.T.tolist())))
+    for beta in nullspace(cols, p, len(system)):
+        values = d._union_sum(coefs_of(beta))
+        if not _is_scalar_multiple(values, c_on_union, p):
             return beta, values
     return None
 
@@ -414,31 +411,29 @@ def _first_escape(rows: np.ndarray, mask: np.ndarray, c: np.ndarray, p: int
 def oracle_minimal(d: Decomposition, cap: int = DEFAULT_ORACLE_CAP) -> OracleResult:
     """Minimality within the span of the decomposition's hyperplanes.
 
-    sum beta_i [H_i] keeps inside supp(c) iff it vanishes on the holes of c
-    on U, so these beta are the null space of the hole columns of the 0/1
-    term matrix, and c is minimal in the span iff all give values
-    proportional to c.  The counterexample is the first that enumerating
-    F_p^m by k = sum beta_i p^i would meet, and `combinations_checked` the
-    nominal count that enumeration reaches in blocks of 2^15; p^m stays
-    capped.  Exact in the guaranteed regime (support subsets cannot involve
-    outside hyperplanes there); otherwise flagged heuristic, though a found
-    counterexample is definitive.
+    sum beta_i [H_i] keeps inside supp(c) iff it vanishes on the holes of c,
+    so these beta are the null space of the 0/1 term incidences at the holes,
+    and c is minimal in the span iff all give values proportional to c.  The
+    counterexample is the first that enumerating F_p^m by k = sum beta_i p^i
+    would meet, and `combinations_checked` the nominal count that
+    enumeration reaches in blocks of 2^15; p^m stays capped.  Exact in the
+    guaranteed regime (support subsets cannot involve outside hyperplanes
+    there); otherwise flagged heuristic, but a counterexample is definitive.
     """
     space = d.space
     p = space.field.p
     total = p ** d.m
     if total > cap:
         raise OracleCapExceededError(f"p^m = {total} exceeds the oracle cap {cap}")
-    union, term_matrix = _union_values(d, [{h} for h in d.terms])
-    c_on_union = term_matrix.sum(axis=0, dtype=_sum_dtype(d.m, p)) % p
-    found = _first_escape(term_matrix != 0, c_on_union == 0, c_on_union, p)
+    union, _, holes = d._union_positions()
+    found = _first_escape(d, _hole_values(d, [{h} for h in d.terms])[1] != 0, lambda beta: beta)
     checked, counter = total, None
     if found is not None:
         k = sum(b * p ** i for i, b in enumerate(found[0]))
         checked = min(total, (k // _ORACLE_BLOCK + 1) * _ORACLE_BLOCK)
         counter = _on_union(space, union, found[1])
     ctx = BoundContext(space.n, p, space.field.h)
-    heuristic = bounds.regime_flags(ctx, weight=int(np.count_nonzero(c_on_union)))
+    heuristic = bounds.regime_flags(ctx, weight=len(union) - len(holes))
     return OracleResult(counter is None, checked, counter,
                         ("heuristic-span-restricted",) if heuristic else ())
 
@@ -468,7 +463,8 @@ def verdict(c: Codeword, ctx: Optional[BoundContext] = None,
     if decomposition is not None:
         if decomposition.space is not space:
             raise ValueError("the decomposition belongs to another space")
-        union, (combined,) = _union_values(decomposition, [decomposition.terms])
+        union = decomposition._union_positions()[0]
+        combined = decomposition._union_sum(decomposition.terms.values())
         if np.count_nonzero(combined) != wt or not np.array_equal(combined, c.values[union]):
             raise ValueError("the decomposition does not combine to the codeword")
     flags = list(bounds.regime_flags(ctx, weight=wt))
@@ -498,9 +494,7 @@ def verdict(c: Codeword, ctx: Optional[BoundContext] = None,
     else:
         verdict_str = VERDICT_UNDETERMINED
 
-    oracle = None
-    if with_oracle:
-        oracle = oracle_minimal(d, cap=oracle_cap)
+    oracle = oracle_minimal(d, cap=oracle_cap) if with_oracle else None
     return MinimalityReport(d, fixpoint, tuple(history), holes, verdict_str,
                             witness, oracle, tuple(flags))
 

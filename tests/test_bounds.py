@@ -149,7 +149,7 @@ def test_classify_rejects_mismatched_context(spaces):
 def test_spectrum_zero_codeword(spaces):
     from pgcodes import Codeword
     sp = spaces(2, 2, 5)
-    spec = secant_spectrum(Codeword.zero(sp))
+    spec = secant_spectrum(Codeword(sp, np.zeros(sp.num_points, dtype=np.int16)))
     assert spec.histogram == {0: sp.line_count()}
 
 
@@ -321,7 +321,7 @@ def test_max_thin_secant(spaces, gf_rank):
     from pgcodes import Codeword
     sp = spaces(2, 2, 5)
     ctx = BoundContext(2, 2, 5)
-    assert max_thin_secant(Codeword.zero(sp), ctx) == 0
+    assert max_thin_secant(Codeword(sp, np.zeros(sp.num_points, dtype=np.int16)), ctx) == 0
     assert max_thin_secant(incidence_codeword(sp, 0), ctx) == 1
     # j lines in general position: the maximum thin secant size is j
     rng = np.random.default_rng(12)

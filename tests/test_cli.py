@@ -304,8 +304,18 @@ def test_verify_suites_pass(capsys):
     assert rc2 == 0
 
 
-def test_missing_spec_file_errors(capsys):
-    assert main(["analyze", "/nonexistent/spec.json"]) == 1
+def test_missing_spec_file_errors(tmp_path, capsys):
+    """A spec path that is missing or names a directory gives a report of
+    only `error` and `meta`, with exit 1 and nothing on stderr; no bytes
+    were read, so the digest is null."""
+    for path, needle in ((tmp_path / "missing.json", "No such file"),
+                         (tmp_path, "Is a directory")):
+        assert main(["analyze", str(path), "--decompose"]) == 1
+        out, err = capsys.readouterr()
+        rep = json.loads(out)
+        assert err == "" and set(rep) == {"error", "meta"} and needle in rep["error"]
+        assert rep["meta"] == {"version": cli.__version__, "input_sha256": None,
+                               "regime_flags": []}
 
 
 def test_verify_reports_an_error_in_a_check_and_keeps_going(capsys, monkeypatch):

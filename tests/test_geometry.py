@@ -99,13 +99,11 @@ def test_enumeration_splits_at_x0(spaces, key):
 def test_out_of_range_indices_are_refused(spaces, index):
     """PG(2,4) has theta(2) = 21 points and hyperplanes.  An index outside
     [0, 21) is refused by the point sets of hyperplanes, by pencils, by the
-    point and hyperplane records, by codeword values, by the codeword
-    builders and by spans, even once hyperplane 16 (which -5 used to wrap
-    onto) is cached."""
+    hyperplane records, by the codeword builders and by spans, even once
+    hyperplane 16 (which -5 used to wrap onto) is cached."""
     sp = spaces(2, 2, 2)
     sp.hyperplane_point_indices(16)
-    for call in (sp.hyperplane_point_indices, sp.pencil_indices, sp.point, sp.hyperplane,
-                 Codeword.zero(sp).value,
+    for call in (sp.hyperplane_point_indices, sp.pencil_indices, sp.hyperplane,
                  lambda i: combine(sp, [(i, 1)]), lambda i: incidence_codeword(sp, i),
                  lambda i: sp.span_points([0, i])):
         with pytest.raises(ValueError, match="out of range"):
@@ -115,20 +113,23 @@ def test_out_of_range_indices_are_refused(spaces, index):
 def test_point_index_roundtrip(spaces):
     sp = spaces(2, 3, 2)
     for i in (0, 1, 17, sp.num_points - 1):
-        pt = sp.point(i)
-        assert sp.point_index(pt.coords) == i
-        assert pt.coords[next(k for k, c in enumerate(pt.coords) if c)] == 1
+        coords = [int(c) for c in sp.point_table[i]]
+        assert sp.point_index(coords) == i
+        assert coords[next(k for k, c in enumerate(coords) if c)] == 1
 
 
 def test_normalization_idempotent(spaces):
+    """Every nonzero multiple of a vector names one point, whose table row
+    names it again."""
     sp = spaces(2, 5, 1)
     rng = np.random.default_rng(0)
     for _ in range(50):
         v = [int(x) for x in rng.integers(0, 5, size=3)]
         if not any(v):
             continue
-        once = sp.normalize(v)
-        assert sp.normalize(once) == once
+        i = sp.point_index(v)
+        assert sp.point_index([int(c) for c in sp.point_table[i]]) == i
+        assert all(sp.point_index([lam * x % 5 for x in v]) == i for lam in range(1, 5))
 
 
 INDEX_VECTOR_FIELDS = [(2, 1), (2, 2), (3, 2), (5, 2), (3, 3), (5, 3)]
@@ -204,8 +205,8 @@ def test_point_index_rejects_out_of_range_coordinates(spaces):
 
 
 def test_normalize_rejects_zero(spaces):
-    with pytest.raises(ValueError):
-        spaces(2, 5, 1).normalize([0, 0, 0])
+    with pytest.raises(ValueError, match="zero vector"):
+        spaces(2, 5, 1).point_index([0, 0, 0])
 
 
 def test_incident_basics(spaces):
@@ -411,7 +412,7 @@ def test_line_through(spaces):
     line = sp.span_points([p, q_]).point_indices
     assert len(line) == 6
     for i in line:
-        assert sp.point(i).coords[2] == 0
+        assert sp.point_table[i, 2] == 0
     # well-definedness: any two points of the line span the same line
     for a, b in combinations(line, 2):
         assert sp.span_points([a, b]).point_indices == line

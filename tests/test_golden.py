@@ -12,8 +12,8 @@ import json
 
 import numpy as np
 
-from pgcodes import (NoDecompositionError, decompose, p2_fixtures,
-                     secant_spectrum, szonyi_example, verdict)
+from pgcodes import (NoDecompositionError, combine, decompose, oracle_minimal,
+                     p2_fixtures, secant_spectrum, szonyi_example, verdict)
 from pgcodes.minimality import random_combination
 
 GOLDEN_SHA256 = "7adcc5e9159efae0996a17c0c3763e22ffc984b02b32354dd99ca34ab58da0b6"
@@ -81,3 +81,30 @@ def test_golden_digest_at_benchmark_sizes(spaces):
         records.append(record)
     text = json.dumps(records, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_BENCH_SIZE_SHA256
+
+
+GOLDEN_LARGE_M_SHA256 = "fd29ddd5b8780a2ccc264563afeeb8436ed5a12623a5afe93ffbe062aad738d4"
+
+
+def _large_m_decompositions(sp):
+    """Two PG(2,2048) decompositions far above the benchmark's term counts:
+    60 random lines, and a 30-line pencil whose vertex is c's one hole, so
+    the witness and the oracle's counterexample are both built."""
+    pencil = [int(h) for h in np.sort(sp.pencil_indices(7))[:30]]
+    return [random_combination(sp, 60, np.random.default_rng(6060)),
+            combine(sp, [(h, 1) for h in pencil])]
+
+
+def test_golden_digest_at_large_m(spaces):
+    sp = spaces(2, 2, 11)
+    records = []
+    for cw, d in _large_m_decompositions(sp):
+        res = oracle_minimal(d, cap=2 ** 60)
+        records.append({
+            "verdict": verdict(cw, decomposition=d).to_json(),
+            "oracle": [res.minimal, res.combinations_checked],
+            "counterexample": (res.counterexample.to_json()
+                               if res.counterexample is not None else None),
+        })
+    text = json.dumps(records, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_LARGE_M_SHA256

@@ -1,10 +1,12 @@
 """Decomposition, partition refinement, witnesses, verdicts, and the oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from pgcodes import bounds, geometry
-from pgcodes import (BoundContext, Codeword, Decomposition,
+from pgcodes import (AdjacencyWitnessGraph, BoundContext, Codeword, Decomposition,
                      NoDecompositionError, OracleResult, combine, decompose,
                      incidence_codeword, nullspace, oracle_minimal,
                      p2_fixtures, partial_combination, refine_to_fixpoint,
@@ -12,8 +14,8 @@ from pgcodes import (BoundContext, Codeword, Decomposition,
 from pgcodes.minimality import (DEFAULT_ORACLE_CAP, VERDICT_MINIMAL,
                                 VERDICT_NOT_MINIMAL, VERDICT_UNDETERMINED,
                                 NoWitnessError, OracleCapExceededError,
-                                _best_candidate, _is_scalar_multiple, _on_union,
-                                _pencil_counts, _peel, _sum_dtype, _union_values,
+                                _best_candidate, _is_scalar_multiple, _make_partition,
+                                _merge_components, _on_union, _pencil_counts, _peel,
                                 build_adjacency, build_witness,
                                 exceptional_holes, random_combination)
 
@@ -217,7 +219,7 @@ def test_decompose_rejects_non_codeword(spaces):
 
 def test_decompose_zero(spaces):
     sp = spaces(2, 5, 3)
-    d = decompose(Codeword.zero(sp))
+    d = decompose(Codeword(sp, np.zeros(sp.num_points, dtype=np.int16)))
     assert d.m == 0 and d.terms == {}
 
 
@@ -288,7 +290,6 @@ def test_adjacency_witnesses_recheck(spaces):
     sp = spaces(2, 5, 3)
     cw, _ = szonyi_example(sp)
     d = decompose(cw)
-    from pgcodes.minimality import _make_partition
     part = _make_partition([{h} for h in d.terms], 0)
     graph = build_adjacency(d, part)
     vals = _dense_block_values(d, part)
@@ -388,6 +389,107 @@ def test_union_pipeline_matches_dense_recomputation(spaces):
     assert sorted(set().union(*fix.blocks)) == sorted(d.terms)
 
 
+def _union_values(d: Decomposition, blocks) -> tuple[np.ndarray, np.ndarray]:
+    """The dense path that the hole-restricted stages replaced, kept as their
+    reference: the sorted union U of the term hyperplanes' points, and one
+    int16 row of F_p values on U per block of terms, its partial combination.
+    With singleton blocks the rows form the m x |U| term matrix."""
+    p = d.space.field.p
+    union, positions = d._union_positions()[:2]
+    where = dict(zip(d.terms, positions))
+    vals = np.zeros((len(blocks), len(union)), dtype=np.int16)
+    for row, block in zip(vals, blocks):
+        for h in block:
+            pos = where[h]
+            row[pos] = (row[pos] + d.terms[h]) % p
+    return union, vals
+
+
+def _union_escape(rows, mask, c, p):
+    """Values on U of the first null-space vector of rows' masked columns
+    whose combination of the rows is not a multiple of c, or None."""
+    for beta in nullspace(rows[:, mask].T.tolist(), p, len(rows)):
+        values = np.asarray(beta, dtype=np.int64) @ rows.astype(np.int64) % p
+        if not _is_scalar_multiple(values, c, p):
+            return values
+    return None
+
+
+def _union_reference(d, oracle_cap):
+    """History, exceptional holes, witness values on U and oracle
+    counterexample values on U, from the dense block rows over U."""
+    p = d.space.field.p
+    current = _make_partition([{h} for h in d.terms], 0)
+    history = [current]
+    while True:
+        union, vals = _union_values(d, current.blocks)
+        c = vals.sum(axis=0, dtype=np.int64) % p
+        nz = vals != 0
+        edges = {}
+        for col in np.flatnonzero((c == 0) & (nz.sum(axis=0) == 2)):
+            a, b = np.flatnonzero(nz[:, col])
+            edges.setdefault((int(a), int(b)), int(union[col]))
+        graph = AdjacencyWitnessGraph(current.size, tuple(
+            sorted((a, b, pt) for (a, b), pt in edges.items())))
+        merged = _merge_components(current, graph)
+        if merged.blocks == current.blocks:
+            break
+        current = merged
+        history.append(current)
+    holes = union[(c == 0) & nz.any(axis=0)]
+    witness = None
+    if 2 <= current.size and len(holes) <= current.size - 2:
+        witness = _union_escape(vals, np.isin(union, holes), c, p)
+    _, terms = _union_values(d, [{h} for h in d.terms])
+    counter = _union_escape(terms != 0, c == 0, c, p) if p ** d.m <= oracle_cap else None
+    return history, tuple(int(i) for i in holes), witness, counter
+
+
+def test_hole_pipeline_matches_union_reference_at_large_m(spaces):
+    """At PG(2,2048) with m = 100, the hole-restricted stages give the dense
+    path's partition history, exceptional holes, witness and oracle
+    counterexample: 100 random lines, one class, and a 100-line pencil,
+    whose vertex is the one hole and whose 100 singleton blocks admit both."""
+    sp = spaces(2, 2, 11)
+    _, rand = random_combination(sp, 100, np.random.default_rng(100))
+    _, pencil = combine(sp, [(int(h), 1) for h in np.sort(sp.pencil_indices(7))[:100]])
+    witnessed = 0
+    for d in (rand, pencil):
+        union = d._union_positions()[0]
+        history, holes, witness, counter = _union_reference(d, 2 ** 100)
+        cw = partial_combination(d, d.terms)
+        rep = verdict(cw, decomposition=d)
+        assert list(rep.history) == history and rep.exceptional_holes == holes
+        if witness is None:
+            assert rep.witness is None
+        else:
+            assert np.array_equal(rep.witness.values[union], witness)
+            assert weight(rep.witness) == np.count_nonzero(witness)
+            witnessed += 1
+        res = oracle_minimal(d, cap=2 ** 100)
+        if counter is None:
+            assert res.minimal and res.counterexample is None
+        else:
+            assert np.array_equal(res.counterexample.values[union], counter)
+            assert weight(res.counterexample) == np.count_nonzero(counter)
+    assert witnessed == 1
+
+
+def test_verdict_memory_is_not_blocks_times_union(spaces):
+    """A verdict on 200 random lines of PG(2,2048) starts at 200 singleton
+    blocks over a union of about 3.9e5 points: dense int16 block rows over U
+    peaked at 248 MB, rows over the holes alone stay below 100 MB."""
+    sp = spaces(2, 2, 11)
+    cw, d = random_combination(sp, 200, np.random.default_rng(200))
+    tracemalloc.start()
+    try:
+        verdict(cw, decomposition=d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
+
+
 # ---------------------------------------------------------------------------
 # seven-line example
 # ---------------------------------------------------------------------------
@@ -452,6 +554,23 @@ def test_build_witness_precondition(spaces):
     assert len(holes) > fix.size - 2
     with pytest.raises(ValueError):
         build_witness(d, fix, holes)
+
+
+def test_build_witness_refuses_a_support_point(spaces):
+    """The hole system has one column per hole of c: a given point of U
+    where c is nonzero is refused, and a point off U adds no equation."""
+    sp = spaces(2, 2, 5)
+    cw, info = p2_fixtures(sp, "pencil")
+    d = decompose(cw)
+    fix, _ = refine_to_fixpoint(d)
+    assert fix.size == 3 and exceptional_holes(d, fix) == ()
+    # a point on one line, and the vertex, on all three with value 3 = 1
+    for pt in (int(cw.support[-1]), info["vertex"]):
+        assert cw.values[pt] != 0
+        with pytest.raises(ValueError, match=r"lies on supp\(c\)"):
+            build_witness(d, fix, [pt])
+    off = int(np.flatnonzero(~np.isin(np.arange(sp.num_points), d._union_positions()[0]))[0])
+    assert build_witness(d, fix, [off]) == build_witness(d, fix, [])
 
 
 def test_p2_pencil_witness_is_single_line(spaces):
@@ -602,17 +721,6 @@ def test_oracle_matches_brute_force(spaces):
     assert cases >= 400 and 0 < minimal < cases
 
 
-@pytest.mark.parametrize("m,p", [(1, 2), (26, 2), (16, 3), (9, 7), (2, 4093),
-                                 (128, 4093), (129, 4093), (5000, 1021)])
-def test_sum_dtype_is_exact(m, p):
-    """The oracle's and the witness's accumulator type holds m products of
-    two residues mod p at their largest, at and beyond the int32 limit."""
-    dt = _sum_dtype(m, p)
-    rows = np.full((m, 3), p - 1, dtype=np.int16)
-    assert (np.full(m, p - 1, dtype=dt) @ rows).tolist() == [m * (p - 1) ** 2] * 3
-    assert rows.sum(axis=0, dtype=dt).tolist() == [m * (p - 1)] * 3
-
-
 def test_oracle_zero_sum_decomposition(spaces):
     """Terms that sum to the zero codeword: every hole-vanishing combination
     is 0 on U, so the span holds no counterexample."""
@@ -677,7 +785,7 @@ def test_oracle_counterexample_is_valid(spaces):
 
 def test_verdict_zero_codeword(spaces):
     sp = spaces(2, 5, 3)
-    rep = verdict(Codeword.zero(sp))
+    rep = verdict(Codeword(sp, np.zeros(sp.num_points, dtype=np.int16)))
     assert rep.verdict == VERDICT_MINIMAL
     assert "degenerate-zero-codeword" in rep.regime_flags
 
@@ -711,7 +819,7 @@ def test_verdict_refuses_a_decomposition_of_another_codeword(spaces):
     _, d_far = combine(spaces(2, 2, 5), [(0, 1), (5, 1)])
     with pytest.raises(ValueError, match="another space"):
         verdict(c1, decomposition=d_far)
-    union, _ = d1._union_positions()
+    union = d1._union_positions()[0]
     vals = c1.values.copy()
     vals[np.setdiff1d(np.arange(sp.num_points), union)[0]] = 1
     with pytest.raises(ValueError, match="does not combine"):
