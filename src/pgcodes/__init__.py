@@ -4,10 +4,9 @@ decomposition, and minimality analysis with an exact oracle."""
 __version__ = "0.1.0"
 
 from .ff import Field, field_make, nullspace
-from .geometry import (Hyperplane, ProjPoint, ProjectiveSpace, SubspacePointSet,
-                       space_make)
+from .geometry import ProjectiveSpace, SubspacePointSet, space_make
 from .codes import (Codeword, Decomposition, combine, incidence_codeword,
-                    partial_combination, restricted_weight, support, weight)
+                    partial_combination, restricted_weight, weight)
 from .bounds import (BoundContext, Classification, SecantSpectrum, classify,
                      delta, max_thin_secant, secant_spectrum, theta,
                      thick_bound_U, weight_bound_W)
@@ -21,10 +20,9 @@ from .minimality import (AdjacencyWitnessGraph, HyperplanePartition,
 __all__ = [
     "__version__",
     "Field", "field_make", "nullspace",
-    "Hyperplane", "ProjPoint", "ProjectiveSpace", "SubspacePointSet",
-    "space_make",
+    "ProjectiveSpace", "SubspacePointSet", "space_make",
     "Codeword", "Decomposition", "combine", "incidence_codeword",
-    "partial_combination", "restricted_weight", "support", "weight",
+    "partial_combination", "restricted_weight", "weight",
     "BoundContext", "Classification", "SecantSpectrum", "classify", "delta",
     "max_thin_secant", "secant_spectrum", "theta", "thick_bound_U",
     "weight_bound_W",

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .ff import is_prime
-from .codes import Codeword, restricted_weight, support
+from .codes import Codeword, restricted_weight
 from .geometry import _CHUNK_ENTRIES, SubspacePointSet, _affine_digits, theta
 
 # `secant_spectrum` refuses a space with more lines than this by default
@@ -93,18 +93,16 @@ class Classification(Enum):
     NEITHER = "Neither"
 
 
-def classify(c: Codeword, sub: SubspacePointSet, ctx: BoundContext) -> Classification:
+def classify(c: Codeword, sub: SubspacePointSet) -> Classification:
     """Thin / thick / neither for a subspace, by its restricted weight.
 
     Points (dim 0) are thin exactly when they are holes and thick otherwise.
     For degenerate parameter ranges where the thin and thick ranges overlap,
-    thin wins.  The classification is computed for any context; whether the
+    thin wins.  The classification is computed in any regime; whether the
     dichotomy is guaranteed is a regime question (see `regime_flags`), which
     reports attach separately.
     """
-    sp = c.space
-    if (ctx.n, ctx.p, ctx.h) != (sp.n, sp.field.p, sp.field.h):
-        raise ValueError("context does not match the codeword's space")
+    ctx = context_for(c)
     rw = restricted_weight(c, sub)
     i = sub.dim
     if i == 0:
@@ -126,9 +124,6 @@ class SecantSpectrum:
 
     histogram: dict[int, int]
     total_lines: int
-
-    def count(self, s: int) -> int:
-        return self.histogram.get(s, 0)
 
     def to_json(self) -> dict:
         return {"histogram": [[s, self.histogram[s]]
@@ -243,7 +238,7 @@ def secant_spectrum(c: Codeword, max_lines: Optional[int] = None,
     cap = max_lines if max_lines is not None else SPECTRUM_LINE_CAP
     if total > cap:
         raise ValueError(f"line count {total} exceeds the cap of {cap}")
-    counts = _line_counts(sp, sp.n, support(c), threads)
+    counts = _line_counts(sp, sp.n, c.support, threads)
     hist = {s: int(k) for s, k in enumerate(counts) if s and k}
     covered = sum(hist.values())
     if covered < total:
@@ -251,12 +246,11 @@ def secant_spectrum(c: Codeword, max_lines: Optional[int] = None,
     return SecantSpectrum(hist, total)
 
 
-def max_thin_secant(c: Codeword, ctx: BoundContext,
-                    spectrum: Optional[SecantSpectrum] = None) -> int:
+def max_thin_secant(c: Codeword, *, spectrum: Optional[SecantSpectrum] = None) -> int:
     """Largest s with a thin s-secant to supp(c); 0 when none exists."""
     if spectrum is None:
         spectrum = secant_spectrum(c)
-    w1 = weight_bound_W(1, ctx)
+    w1 = weight_bound_W(1, context_for(c))
     thin_sizes = [s for s, k in spectrum.histogram.items() if k and s <= w1]
     return max(thin_sizes, default=0)
 

@@ -61,27 +61,28 @@ def _meta(input_bytes: Optional[bytes], flags) -> dict:
 
 def cmd_geom_info(args) -> int:
     """The table for (n, p, h), or a report of only `error` and `meta`, with
-    empty regime flags and exit code 1, when (n, p, h) is refused."""
+    empty regime flags and exit code 1, when (n, p, h) is refused or an entry
+    of its table has more digits than an int may print."""
     key = f"geom-info:{args.n}:{args.p}:{args.h}".encode()
     try:
         ctx = BoundContext(args.n, args.p, args.h)
+        q = ctx.q
+        report = {
+            "n": ctx.n, "p": ctx.p, "h": ctx.h, "q": q,
+            "theta": [[m, bounds.theta(m, q)] for m in range(ctx.n + 1)],
+        }
+        flags = bounds.regime_flags(ctx)
+        if ctx.h >= 2:
+            report["delta"] = [[i, bounds.delta(i, ctx)] for i in range(ctx.n + 1)]
+            report["W"] = [[i, bounds.weight_bound_W(i, ctx)] for i in range(ctx.n + 1)]
+            report["U"] = [[i, bounds.thick_bound_U(i, ctx)] for i in range(1, ctx.n + 1)]
+        else:
+            report["delta"] = report["W"] = report["U"] = None
+        report["meta"] = _meta(key, flags)
+        _emit(report, args.out)        # serialises before it writes anything
     except ValueError as exc:
         _emit({"error": str(exc), "meta": _meta(key, [])}, args.out)
         return 1
-    q = ctx.q
-    report = {
-        "n": ctx.n, "p": ctx.p, "h": ctx.h, "q": q,
-        "theta": [[m, bounds.theta(m, q)] for m in range(ctx.n + 1)],
-    }
-    flags = bounds.regime_flags(ctx)
-    if ctx.h >= 2:
-        report["delta"] = [[i, bounds.delta(i, ctx)] for i in range(ctx.n + 1)]
-        report["W"] = [[i, bounds.weight_bound_W(i, ctx)] for i in range(ctx.n + 1)]
-        report["U"] = [[i, bounds.thick_bound_U(i, ctx)] for i in range(1, ctx.n + 1)]
-    else:
-        report["delta"] = report["W"] = report["U"] = None
-    report["meta"] = _meta(key, flags)
-    _emit(report, args.out)
     if flags and not args.no_regime_exit:
         return 2
     return 0
@@ -162,7 +163,7 @@ def cmd_fixture(args) -> int:
         return 1
     expanded = {
         "n": args.n, "p": args.p, "h": args.h,
-        "terms": [[list(space.hyperplane(hidx).dual_coords), coef]
+        "terms": [[space.hyperplane_table[hidx].tolist(), coef]
                   for hidx, coef in (d.terms.items() if d else [])],
         "meta": {**meta, "info": info},
     }
@@ -201,8 +202,7 @@ def _analyze(args, raw: bytes) -> tuple[dict, int]:
         return {"error": str(exc), "meta": _meta(raw, [])}, 1
     ctx = bounds.context_for(cw)
     wt = codes.weight(cw)
-    flags = bounds.regime_flags(ctx, weight=wt) if ctx.h >= 2 else \
-        bounds.regime_flags(ctx)
+    flags = bounds.regime_flags(ctx, weight=wt)
     report = {
         "space": {"n": space.n, "p": space.field.p, "h": space.field.h,
                   "q": space.q, "num_points": space.num_points},
@@ -233,7 +233,7 @@ def _analyze(args, raw: bytes) -> tuple[dict, int]:
                 report["thin_thick_lines"] = {"thin": thin, "thick": thick,
                                               "neither": neither}
         if args.minimality or args.oracle:
-            rep = minimality.verdict(cw, ctx, with_oracle=args.oracle,
+            rep = minimality.verdict(cw, with_oracle=args.oracle,
                                      oracle_cap=args.cap_oracle,
                                      decomposition=d)
             report["minimality"] = rep.to_json()
@@ -334,7 +334,7 @@ def _suite_roundtrip(args) -> list[tuple[str, callable]]:
         for _ in range(args.trials):
             j = int(rng.integers(1, max(2, dn)))
             cw, d_true = minimality.random_combination(space, j, rng)
-            d = minimality.decompose(cw, ctx)
+            d = minimality.decompose(cw)
             assert d.terms == d_true.terms, "terms not recovered"
             assert d.m == -(-codes.weight(cw) // theta_h), "term count mismatch"
 

@@ -8,12 +8,11 @@ which hyperplanes carry nonzero coefficients in a `Decomposition`.
 
 from __future__ import annotations
 
-import json
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .geometry import Hyperplane, ProjectiveSpace, SubspacePointSet, _chunk_slices
+from .geometry import ProjectiveSpace, SubspacePointSet, _chunk_slices
 
 
 def _residues(values, p: int) -> np.ndarray:
@@ -112,18 +111,6 @@ def checked_index(i, space: ProjectiveSpace, what: str) -> int:
     return space._checked_index(checked_int(i, f"a {what} index"), what)
 
 
-def codeword_from_json(data: Union[dict, str], space: ProjectiveSpace) -> Codeword:
-    if isinstance(data, str):
-        data = json.loads(data)
-    params = tuple(checked_int(data[k], k) for k in ("n", "p", "h"))
-    if params != (space.n, space.field.p, space.field.h):
-        raise ValueError("codeword parameters do not match the supplied space")
-    vals = np.zeros(space.num_points, dtype=np.int16)
-    for i, v in data["values"]:
-        vals[checked_index(i, space, "point")] = checked_int(v, "a point value") % space.field.p
-    return Codeword(space, vals)
-
-
 class Decomposition:
     """A codeword written as sum of coefficient * hyperplane indicator.
 
@@ -202,33 +189,18 @@ class Decomposition:
         return f"Decomposition(m={self.m}, terms={self.terms})"
 
 
-def decomposition_from_json(data: Union[dict, str], space: ProjectiveSpace) -> Decomposition:
-    """A decomposition from its JSON terms; a repeated hyperplane is refused,
-    since `combine` would add its coefficients and a dict would keep the last."""
-    if isinstance(data, str):
-        data = json.loads(data)
-    terms: dict[int, int] = {}
-    for h, c in data["terms"]:
-        key = checked_index(h, space, "hyperplane")
-        if key in terms:
-            raise ValueError(f"hyperplane {key} appears more than once in the decomposition")
-        terms[key] = checked_int(c, "a coefficient")
-    return Decomposition(space, terms)
-
-
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
 
-def incidence_codeword(space: ProjectiveSpace, h: Union[Hyperplane, int]) -> Codeword:
+def incidence_codeword(space: ProjectiveSpace, h: int) -> Codeword:
     """Characteristic vector of a hyperplane: 1 on its points, 0 elsewhere."""
     vals = np.zeros(space.num_points, dtype=np.int16)
     vals[space.hyperplane_point_indices(h)] = 1
     return Codeword(space, vals)
 
 
-def combine(space: ProjectiveSpace,
-            terms: Iterable[tuple[Union[Hyperplane, int], int]]
+def combine(space: ProjectiveSpace, terms: Iterable[tuple[int, int]]
             ) -> tuple[Codeword, Decomposition]:
     """F_p-linear combination of hyperplane indicators.
 
@@ -239,7 +211,7 @@ def combine(space: ProjectiveSpace,
     p = space.field.p
     merged: dict[int, int] = {}
     for h, coef in terms:
-        key = h.index if isinstance(h, Hyperplane) else int(h)
+        key = int(h)
         merged[key] = (merged.get(key, 0) + int(coef)) % p
     dropped = sorted(k for k, v in merged.items() if v == 0)
     surviving = {k: v for k, v in merged.items() if v != 0}
@@ -280,11 +252,6 @@ def _accumulate(space: ProjectiveSpace, terms: dict[int, int]) -> Codeword:
     first[1:] = touched[1:] != touched[:-1]
     touched = touched[first]
     return Codeword._with_support(space, vals, touched[vals[touched] != 0])
-
-
-def support(c: Codeword) -> np.ndarray:
-    """Sorted indices of the points where the codeword is nonzero."""
-    return c.support
 
 
 def weight(c: Codeword) -> int:

@@ -21,7 +21,7 @@ basis matrix, which keeps every enumeration a handful of table gathers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -43,18 +43,6 @@ def theta(m: int, q: int) -> int:
     if m < 0:
         return 0
     return (q ** (m + 1) - 1) // (q - 1)
-
-
-@dataclass(frozen=True)
-class ProjPoint:
-    coords: tuple[int, ...]
-    index: int
-
-
-@dataclass(frozen=True)
-class Hyperplane:
-    dual_coords: tuple[int, ...]
-    index: int
 
 
 @dataclass(frozen=True)
@@ -198,11 +186,6 @@ class ProjectiveSpace:
         # duality: normalised dual vectors enumerate identically
         return self._enum.table
 
-    def hyperplane(self, index: int) -> Hyperplane:
-        coords = tuple(int(c) for c in
-                       self.hyperplane_table[self._checked_index(index, "hyperplane")])
-        return Hyperplane(coords, index)
-
     def point_index(self, coords: Sequence[int]) -> int:
         if len(coords) != self.n + 1:
             raise ValueError("coordinate vector has wrong length")
@@ -215,20 +198,17 @@ class ProjectiveSpace:
 
     # -- spans ----------------------------------------------------------------------
 
-    def span_points(self, basis: Sequence[Union[ProjPoint, int]]) -> SubspacePointSet:
+    def span_points(self, basis: Sequence[int]) -> SubspacePointSet:
         """Point set of the projective span of d+1 independent points: the
         theta(d) points of PG(d, q) pushed through the basis rows."""
-        rows = np.vstack([np.asarray(b.coords, dtype=np.int16) if isinstance(b, ProjPoint)
-                          else self.point_table[self._checked_index(int(b), "point")]
+        rows = np.vstack([self.point_table[self._checked_index(int(b), "point")]
                           for b in basis])
         raw = _f_matmul(self.field, self._get_enum(len(rows) - 1).table, rows)
         try:
             idx = np.sort(self._enum.index_vectors(raw.T))
         except ValueError:          # a dependent basis spans a zero vector
             raise ValueError("basis points are linearly dependent") from None
-        basis_idx = tuple(
-            b.index if isinstance(b, ProjPoint) else int(b) for b in basis)
-        return SubspacePointSet(len(rows) - 1, basis_idx,
+        return SubspacePointSet(len(rows) - 1, tuple(int(b) for b in basis),
                                 tuple(int(i) for i in idx))
 
     # -- hyperplanes ---------------------------------------------------------------
@@ -282,16 +262,13 @@ class ProjectiveSpace:
             raise ValueError(f"{what} index {i} out of range [0, {self.num_points})")
         return i
 
-    def hyperplane_point_indices(self, h: Union[Hyperplane, int]) -> np.ndarray:
+    def hyperplane_point_indices(self, h: int) -> np.ndarray:
         """Indices of the theta(n-1) points on a hyperplane (enumeration order)."""
-        key = self._checked_index(h.index if isinstance(h, Hyperplane) else int(h),
-                                  "hyperplane")
-        return self._orthogonal_indices(self.n, [key])[0]
+        return self._orthogonal_indices(self.n, [self._checked_index(int(h), "hyperplane")])[0]
 
-    def pencil_indices(self, p: Union[ProjPoint, int]) -> np.ndarray:
+    def pencil_indices(self, p: int) -> np.ndarray:
         """Indices of the theta(n-1) hyperplanes through a point (enum order)."""
-        key = self._checked_index(p.index if isinstance(p, ProjPoint) else int(p), "point")
-        return self._orthogonal_indices(self.n, [key])[0]
+        return self._orthogonal_indices(self.n, [self._checked_index(int(p), "point")])[0]
 
     # -- the quotient at a point ------------------------------------------------
 

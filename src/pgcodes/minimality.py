@@ -190,7 +190,7 @@ def _peel(supp: np.ndarray, vals: np.ndarray, pts: np.ndarray,
     return new_supp, new_vals
 
 
-def decompose(c: Codeword, ctx: Optional[BoundContext] = None) -> Decomposition:
+def decompose(c: Codeword) -> Decomposition:
     """Write a small-weight codeword as its unique hyperplane combination.
 
     Peeling step: scan support anchors in index order; the first anchor whose
@@ -204,8 +204,7 @@ def decompose(c: Codeword, ctx: Optional[BoundContext] = None) -> Decomposition:
     the peel budget is exhausted with a nonzero residual.
     """
     space = c.space
-    if ctx is None:
-        ctx = bounds.context_for(c)
+    ctx = bounds.context_for(c)
     p = space.field.p
     supp = c.support
     vals = c.values[supp]
@@ -304,7 +303,7 @@ def build_adjacency(d: Decomposition, partition: HyperplanePartition) -> Adjacen
     # the two blocks nonzero at each witness column, lower block first
     pairs = np.nonzero(nz[:, cols].T)[1].reshape(-1, 2)
     _, first = np.unique(pairs[:, 0] * partition.size + pairs[:, 1], return_index=True)
-    edges = tuple((int(pairs[k, 0]), int(pairs[k, 1]), int(points[cols[k]])) for k in first)
+    edges = tuple(zip(*pairs[first].T.tolist(), points[cols[first]].tolist()))
     return AdjacencyWitnessGraph(partition.size, edges)
 
 
@@ -442,8 +441,7 @@ def oracle_minimal(d: Decomposition, cap: int = DEFAULT_ORACLE_CAP) -> OracleRes
 # Verdict
 # ---------------------------------------------------------------------------
 
-def verdict(c: Codeword, ctx: Optional[BoundContext] = None,
-            with_oracle: bool = False, oracle_cap: int = DEFAULT_ORACLE_CAP,
+def verdict(c: Codeword, *, with_oracle: bool = False, oracle_cap: int = DEFAULT_ORACLE_CAP,
             decomposition: Optional[Decomposition] = None) -> MinimalityReport:
     """Run the full minimality pipeline on a codeword.
 
@@ -457,8 +455,6 @@ def verdict(c: Codeword, ctx: Optional[BoundContext] = None,
     all of supp(c) in U; otherwise a ValueError is raised.
     """
     space = c.space
-    if ctx is None:
-        ctx = bounds.context_for(c)
     wt = weight(c)
     if decomposition is not None:
         if decomposition.space is not space:
@@ -467,7 +463,7 @@ def verdict(c: Codeword, ctx: Optional[BoundContext] = None,
         combined = decomposition._union_sum(decomposition.terms.values())
         if np.count_nonzero(combined) != wt or not np.array_equal(combined, c.values[union]):
             raise ValueError("the decomposition does not combine to the codeword")
-    flags = list(bounds.regime_flags(ctx, weight=wt))
+    flags = list(bounds.regime_flags(bounds.context_for(c), weight=wt))
     in_regime = not flags
 
     if wt == 0:
@@ -476,7 +472,7 @@ def verdict(c: Codeword, ctx: Optional[BoundContext] = None,
         return MinimalityReport(empty, fix, (fix,), (), VERDICT_MINIMAL, None,
                                 None, tuple(flags + ["degenerate-zero-codeword"]))
 
-    d = decomposition if decomposition is not None else decompose(c, ctx)
+    d = decomposition if decomposition is not None else decompose(c)
     fixpoint, history = refine_to_fixpoint(d)
     holes = exceptional_holes(d, fixpoint)
 

@@ -76,7 +76,7 @@ def test_criterion_3_roundtrip(spaces, key):
     for _ in range(100):
         j = int(rng.integers(1, jmax + 1))
         cw, d_true = random_combination(sp, j, rng)
-        d = decompose(cw, ctx)
+        d = decompose(cw)
         assert d.terms == d_true.terms, "term multiset not recovered"
         assert d.m == -(-weight(cw) // theta_h), "term count != ceil(wt/theta)"
     elapsed = time.time() - t0
@@ -111,7 +111,7 @@ def test_criterion_4_secant_gap(spaces, key):
         for hidx in rng.choice(sp.num_hyperplanes, size=25, replace=False):
             pts = sp.hyperplane_point_indices(int(hidx))
             line = sp.span_points([int(pts[0]), int(pts[1])])
-            assert classify(cw, line, ctx) is not Classification.NEITHER
+            assert classify(cw, line) is not Classification.NEITHER
     elapsed = time.time() - t0
     assert elapsed < 120, f"criterion 4 exceeded budget: {elapsed:.1f}s"
     _report(4, f"secant gap + thin/thick dichotomy at (2, {sp.q})", t0)
@@ -206,7 +206,7 @@ def test_criterion_8_oracle_soundness(spaces):
         cw, _ = random_combination(sp, j, rng)
         assert regime_flags(ctx, weight=weight(cw)) == [], "fixture out of regime"
         assert p ** j <= 10 ** 6
-        rep = verdict(cw, ctx, with_oracle=True)
+        rep = verdict(cw, with_oracle=True)
         if rep.verdict == VERDICT_MINIMAL:
             assert rep.oracle.minimal is True, (n, p, h, j)
             agreements += 1

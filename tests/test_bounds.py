@@ -12,7 +12,7 @@ from pgcodes import (BoundContext, Classification, classify, combine, delta,
                      theta, thick_bound_U, weight, weight_bound_W)
 from pgcodes import bounds
 from pgcodes.bounds import _block_ranges, context_for, regime_flags
-from pgcodes.minimality import random_combination
+from pgcodes.minimality import random_combination, verdict
 
 
 def test_theta_conventions():
@@ -111,35 +111,25 @@ def test_floor_superadditivity_and_delta_halving():
 
 def test_classify_points(spaces):
     sp = spaces(2, 2, 5)
-    ctx = BoundContext(2, 2, 5)
     cw = incidence_codeword(sp, 0)
     on = sp.hyperplane_point_indices(0)
     off = next(i for i in range(sp.num_points) if i not in set(on.tolist()))
     hole = sp.span_points([off])
     real = sp.span_points([int(on[0])])
-    assert classify(cw, hole, ctx) is Classification.THIN
-    assert classify(cw, real, ctx) is Classification.THICK
+    assert classify(cw, hole) is Classification.THIN
+    assert classify(cw, real) is Classification.THICK
 
 
 def test_classify_lines(spaces):
     sp = spaces(2, 2, 6)  # q = 64
-    ctx = BoundContext(2, 2, 6)
     cw = incidence_codeword(sp, 0)
     on = sp.hyperplane_point_indices(0)
     inside = sp.span_points([int(on[0]), int(on[1])])
-    assert classify(cw, inside, ctx) is Classification.THICK  # (q+1)-secant
+    assert classify(cw, inside) is Classification.THICK  # (q+1)-secant
     off = next(i for i in range(sp.num_points) if i not in set(on.tolist()))
     tangent = sp.span_points([int(on[0]), off])
-    assert weight_bound_W(1, ctx) == 15  # Delta_{1,64} = 16
-    assert classify(cw, tangent, ctx) is Classification.THIN
-
-
-def test_classify_rejects_mismatched_context(spaces):
-    sp = spaces(2, 2, 5)
-    cw = incidence_codeword(sp, 0)
-    sub = sp.span_points([0])
-    with pytest.raises(ValueError):
-        classify(cw, sub, BoundContext(2, 5, 3))
+    assert weight_bound_W(1, BoundContext(2, 2, 6)) == 15  # Delta_{1,64} = 16
+    assert classify(cw, tangent) is Classification.THIN
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +310,8 @@ def test_secant_gap_pg3_32_single_hyperplane(spaces):
 def test_max_thin_secant(spaces, gf_rank):
     from pgcodes import Codeword
     sp = spaces(2, 2, 5)
-    ctx = BoundContext(2, 2, 5)
-    assert max_thin_secant(Codeword(sp, np.zeros(sp.num_points, dtype=np.int16)), ctx) == 0
-    assert max_thin_secant(incidence_codeword(sp, 0), ctx) == 1
+    assert max_thin_secant(Codeword(sp, np.zeros(sp.num_points, dtype=np.int16))) == 0
+    assert max_thin_secant(incidence_codeword(sp, 0)) == 1
     # j lines in general position: the maximum thin secant size is j
     rng = np.random.default_rng(12)
     for j in (2, 3, 4):
@@ -331,7 +320,21 @@ def test_max_thin_secant(spaces, gf_rank):
             rows = sp.point_table[sorted(d.terms)]
             if gf_rank(sp.field, rows) == min(j, 3) and weight(cw) == j * 33 - 2 * (j * (j - 1) // 2):
                 break
-        assert max_thin_secant(cw, ctx) == j
+        assert max_thin_secant(cw) == j
+        assert max_thin_secant(cw, spectrum=secant_spectrum(cw)) == j
+
+
+def test_stale_context_arguments_are_refused(spaces):
+    """The regime context comes from the codeword, and the parameters after
+    it are keyword-only, so a context passed where it used to go is refused
+    rather than read as `with_oracle` or as the spectrum."""
+    sp = spaces(2, 2, 5)
+    cw = incidence_codeword(sp, 0)
+    ctx = context_for(cw)
+    with pytest.raises(TypeError):
+        verdict(cw, ctx)
+    with pytest.raises(TypeError):
+        max_thin_secant(cw, ctx)
 
 
 def test_regime_flags():

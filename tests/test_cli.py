@@ -76,6 +76,19 @@ def test_geom_info_bad_params(capsys):
     assert main(["geom-info", "2", "6", "1"]) == 1
 
 
+def test_geom_info_table_too_long_to_print(capsys):
+    """theta(1300) of GF(4093) has about 4700 digits, more than an int may
+    print: the table is refused with an error report and exit 1."""
+    assert main(["geom-info", "1300", "4093", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rep = json.loads(captured.out)
+    assert set(rep) == {"error", "meta"}
+    assert "digits" in rep["error"]
+    assert rep["meta"] == {"input_sha256": hashlib.sha256(b"geom-info:1300:4093:1").hexdigest(),
+                           "regime_flags": [], "version": "0.1.0"}
+
+
 def test_analyze_two_line_difference(tmp_path, capsys):
     spec = {"n": 2, "p": 2, "h": 5, "terms": [[0, 1], [5, 1]]}
     path = tmp_path / "spec.json"
@@ -99,6 +112,19 @@ def test_analyze_difference_pg3_64(tmp_path, capsys):
     assert len(rep["decomposition"]["terms"]) == 2
 
 
+def test_analyze_h1_spec_flags_and_exit_code(tmp_path, capsys):
+    """A spec over a prime field analyses with the h = 1 regime flags, which
+    no weight changes, and exit 2."""
+    spec = {"n": 2, "p": 5, "h": 1, "terms": [[0, 1]]}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    rc, out = _run(capsys, ["analyze", str(path)])
+    assert rc == 2
+    rep = json.loads(out)
+    assert rep["weight"] == 6
+    assert rep["meta"]["regime_flags"] == ["h=1", "q<=27"]
+
+
 def test_analyze_dual_coordinate_terms(tmp_path, capsys):
     spec = {"n": 2, "p": 2, "h": 5, "terms": [[[1, 0, 0], 1]]}
     path = tmp_path / "spec.json"
@@ -108,17 +134,23 @@ def test_analyze_dual_coordinate_terms(tmp_path, capsys):
     assert json.loads(out)["weight"] == 33
 
 
+NON_INTEGER_TERMS = [[[0, 1.7]], [[3.9, 1]], [[[0, 1.5, 0], 1]], [[True, 1]], [["3", 1]]]
+
+
 @pytest.mark.parametrize("terms", [[[99999999, 1]], [[-3, 1]], [[[0, -1, 5], 1]],
-                                   [[0, 1.7]], [[3.9, 1]], [[[0, 1.5, 0], 1]],
-                                   [[True, 1]], [["3", 1]], [5], [[0, 1, 2]]])
+                                   *NON_INTEGER_TERMS, [5], [[0, 1, 2]]])
 def test_analyze_rejects_out_of_range_terms(tmp_path, capsys, terms):
     """Bad or non-integer indices, coordinates and coefficients, and malformed
     terms, end in an error and exit 1, not a traceback, a truncated value or
-    a silently wrapped hyperplane."""
+    a silently wrapped hyperplane; 1.7, 3.9, 1.5, true and "3" are named as
+    non-integers."""
     spec = {"n": 2, "p": 5, "h": 3, "terms": terms}
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
-    assert _error_report(capsys, path, ["--decompose", "--minimality"])
+    error = _error_report(capsys, path, ["--decompose", "--minimality"])
+    assert error
+    if terms in NON_INTEGER_TERMS:
+        assert "must be an integer" in error
 
 
 MALFORMED_SPECS = [

