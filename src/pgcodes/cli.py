@@ -67,6 +67,9 @@ def cmd_geom_info(args) -> int:
     try:
         ctx = BoundContext(args.n, args.p, args.h)
         q = ctx.q
+        # theta(n) >= q^n: a table whose theta(n) cannot print is refused
+        # before any entry is built, with the error serialising it would raise
+        str(bounds.theta(ctx.n, q))
         report = {
             "n": ctx.n, "p": ctx.p, "h": ctx.h, "q": q,
             "theta": [[m, bounds.theta(m, q)] for m in range(ctx.n + 1)],

@@ -141,11 +141,11 @@ class Decomposition:
     def m(self) -> int:
         return len(self.terms)
 
-    def _union_positions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _union_positions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The sorted union U of the term hyperplanes' points; an
         m x theta(n-1) array whose row r holds the positions in U of the
-        points of the r-th hyperplane of `terms`; and the positions in U of
-        c's holes, where two or more terms cancel.
+        points of the r-th hyperplane of `terms`; the positions in U of c's
+        holes, where two or more terms cancel; and c on U, in int64.
 
         Filled on first use and kept, so the minimality stages share one U.
         One sort of the concatenated point lists finds U as the entries that
@@ -168,15 +168,15 @@ class Decomposition:
             coefs = np.repeat(np.array(list(self.terms.values()), dtype=np.int64), rows.shape[1])
             c_on_union = np.add.reduceat(coefs[order], np.flatnonzero(first)) % sp.field.p
             holes = np.flatnonzero(c_on_union == 0)
-            for arr in (union, positions, holes):
+            for arr in (union, positions, holes, c_on_union):
                 arr.setflags(write=False)
-            self._union = (union, positions, holes)
+            self._union = (union, positions, holes, c_on_union)
         return self._union
 
     def _union_sum(self, coefs) -> np.ndarray:
         """sum_r coefs[r] * [H_r] on U, reduced mod p, for one coefficient per
         term in the order of `terms`: one scatter per term, in int64."""
-        union, positions, _ = self._union_positions()
+        union, positions = self._union_positions()[:2]
         vals = np.zeros(len(union), dtype=np.int64)
         for pos, a in zip(positions, coefs):
             vals[pos] += a

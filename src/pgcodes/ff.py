@@ -21,7 +21,8 @@ from `add_table`.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from itertools import accumulate
+from typing import Sequence
 
 import numpy as np
 
@@ -29,19 +30,27 @@ import numpy as np
 MAX_Q = 4096
 
 
+# Miller-Rabin to the first 13 prime bases is exact below _MR_BOUND
+# (Sorenson and Webster, 2015); above it, a round can only prove n composite.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality check (desk-scale inputs)."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    i = 3
-    while i * i <= n:
-        if n % i == 0:
+    """Deterministic primality of n < _MR_BOUND: trial division by the bases,
+    then Miller-Rabin to each.  An n >= _MR_BOUND that passes every round is
+    refused with a ValueError, since no round proves it prime."""
+    if n < 2 or any(n % a == 0 for a in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1         # n - 1 = d * 2^s, d odd
+    for a in _MR_BASES:
+        x = pow(a, (n - 1) >> s, n)
+        # n passes round a iff a^d = 1 or a^(2^r d) = -1 for some r < s
+        if x != 1 and n - 1 not in accumulate(range(s - 1), lambda y, _: y * y % n, initial=x):
             return False
-        i += 2
+    if n >= _MR_BOUND:
+        raise ValueError(f"p = {n} passes Miller-Rabin to the bases 2 .. 41, which "
+                         f"proves primality only below {_MR_BOUND}")
     return True
 
 
@@ -110,39 +119,17 @@ def _ppowmod(base, e: int, f, p: int) -> list[int]:
     return result
 
 
-def _pgcd(a, b, p):
-    a, b = _ptrim(list(a)), _ptrim(list(b))
-    while b:
-        a, b = b, _pmod(a, b, p)
-    return a
+def _monic(code: int, d: int, p: int) -> list[int]:
+    """The monic polynomial of degree d whose lower coefficients serialise to code."""
+    return [(code // p ** i) % p for i in range(d)] + [1]
 
 
-def is_irreducible(modulus: Sequence[int], p: int) -> bool:
-    """Deterministic irreducibility test for a monic polynomial over F_p.
-
-    Uses the classic criterion: f of degree h is irreducible iff
-    x^(p^h) = x (mod f) and gcd(x^(p^(h/l)) - x, f) = 1 for every prime l | h.
-    """
-    f = _ptrim(list(modulus))
+def is_irreducible(f: Sequence[int], p: int) -> bool:
+    """Trial division: a monic f of degree h over F_p is irreducible iff
+    h >= 1 and no monic polynomial of degree 1 .. h // 2 divides it."""
     h = len(f) - 1
-    if h <= 0:
-        return False
-    if h == 1:
-        return True
-    x = [0, 1]
-    xq = _ppowmod(x, p ** h, f, p)
-    if xq != [0, 1]:  # x^(p^h) must reduce to x itself (h >= 2 here)
-        return False
-    for ell in _prime_factors(h):
-        t = _ppowmod(x, p ** (h // ell), f, p)
-        tm = list(t)
-        while len(tm) < 2:
-            tm.append(0)
-        tm[1] = (tm[1] - 1) % p
-        g = _pgcd(tm, f, p)
-        if len(g) - 1 != 0:
-            return False
-    return True
+    return h >= 1 and all(_pmod(f, _monic(code, d, p), p)
+                          for d in range(1, h // 2 + 1) for code in range(p ** d))
 
 
 def lowest_irreducible(p: int, h: int) -> list[int]:
@@ -152,18 +139,8 @@ def lowest_irreducible(p: int, h: int) -> list[int]:
     coefficients, so the choice is deterministic and matches the element
     serialisation convention.
     """
-    if h == 1:
-        return [0, 1]  # the polynomial x
-    for code in range(p ** h):
-        coeffs = []
-        c = code
-        for _ in range(h):
-            coeffs.append(c % p)
-            c //= p
-        coeffs.append(1)
-        if is_irreducible(coeffs, p):
-            return coeffs
-    raise RuntimeError(f"no irreducible of degree {h} over F_{p}")  # unreachable
+    return next(f for f in (_monic(code, h, p) for code in range(p ** h))
+                if is_irreducible(f, p))
 
 
 # ---------------------------------------------------------------------------
@@ -171,10 +148,11 @@ def lowest_irreducible(p: int, h: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 class Field:
-    """GF(p^h), q = p^h <= MAX_Q, in the polynomial basis mod a monic irreducible.
+    """GF(p^h), q = p^h <= MAX_Q, in the polynomial basis mod `modulus`.
 
-    Elements are integers in [0, q).  Every field carries the same read-only
-    lookup tables: `add_table` and `mul_table` (q x q int16) and `inv_table`
+    `modulus` is lowest_irreducible(p, h); callers cannot set it.  Elements
+    are integers in [0, q).  Every field carries the same read-only lookup
+    tables: `add_table` and `mul_table` (q x q int16) and `inv_table`
     (int32, 0 maps to 0) do arithmetic on whole numpy arrays by gathers, and
     each scalar op is one read of a table.  `log_table` (q entries, int16,
     log 0 = 2(q - 1)) and `exp_z` (3q - 2 entries, int16) divide in the log
@@ -183,7 +161,7 @@ class Field:
     add_table.ravel()[a * q + b].
     """
 
-    def __init__(self, p: int, h: int, modulus: Optional[Sequence[int]] = None):
+    def __init__(self, p: int, h: int):
         if h < 1:
             raise ValueError("extension degree h must be >= 1")
         if p < 2:
@@ -197,15 +175,7 @@ class Field:
         self.p = p
         self.h = h
         self.q = p ** h
-        if modulus is None:
-            modulus = lowest_irreducible(p, h)
-        else:
-            modulus = [c % p for c in modulus]
-            if len(modulus) != h + 1 or modulus[-1] != 1:
-                raise ValueError("modulus must be monic of degree h")
-            if not is_irreducible(modulus, p):
-                raise ValueError(f"modulus {modulus} is reducible over F_{p}")
-        self.modulus = tuple(modulus)
+        self.modulus = tuple(lowest_irreducible(p, h))
         self._build_tables()
         self._spot_check_order()
 
@@ -346,9 +316,9 @@ class Field:
         return hash((self.p, self.h, self.modulus))
 
 
-def field_make(p: int, h: int, modulus: Optional[Sequence[int]] = None) -> Field:
-    """Build GF(p^h); the modulus defaults to the lowest-lex monic irreducible."""
-    return Field(p, h, modulus)
+def field_make(p: int, h: int) -> Field:
+    """Build GF(p^h) modulo the lowest-lex monic irreducible of degree h."""
+    return Field(p, h)
 
 
 # ---------------------------------------------------------------------------

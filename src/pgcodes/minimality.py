@@ -271,7 +271,7 @@ def _hole_values(d: Decomposition, blocks: Sequence[Iterable[int]]
     oracle systems is a hole.  A block's row is one scatter per term, whose
     points off the holes go to a spare last column.
     """
-    union, positions, holes = d._union_positions()
+    union, positions, holes, _ = d._union_positions()
     column = np.full(len(union), len(holes))
     column[holes] = np.arange(len(holes))
     where = dict(zip(d.terms, column[positions]))
@@ -356,11 +356,11 @@ def build_witness(d: Decomposition, fixpoint: HyperplanePartition,
     if len(holes) > fixpoint.size - 2:
         raise ValueError("witness construction needs r <= blocks - 2 "
                          f"(r={len(holes)}, blocks={fixpoint.size})")
-    union, _, hole_positions = d._union_positions()
+    union, _, hole_positions, c_on_union = d._union_positions()
     given = np.asarray(holes, dtype=np.int64)
     at = np.searchsorted(union, given)
     at = at[union[np.minimum(at, len(union) - 1)] == given]          # the given points on U
-    if np.any(d._union_sum(d.terms.values())[at]):
+    if np.any(c_on_union[at]):
         raise ValueError("a given point of U lies on supp(c), not on a hole")
     system = _hole_values(d, fixpoint.blocks)[1][:, np.searchsorted(hole_positions, at)]
     block_of = {h: b for b, block in enumerate(fixpoint.blocks) for h in block}
@@ -393,7 +393,7 @@ def _first_escape(d: Decomposition, system: np.ndarray, coefs_of
     that escapes span(c) combines earlier ones and stays in span(c).
     """
     p = d.space.field.p
-    c_on_union = d._union_sum(d.terms.values())
+    c_on_union = d._union_positions()[3]
     # a repeated column repeats an equation; the basis is the same in any order
     cols = list(set(map(tuple, system.T.tolist())))
     for beta in nullspace(cols, p, len(system)):
@@ -424,7 +424,7 @@ def oracle_minimal(d: Decomposition, cap: int = DEFAULT_ORACLE_CAP) -> OracleRes
     total = p ** d.m
     if total > cap:
         raise OracleCapExceededError(f"p^m = {total} exceeds the oracle cap {cap}")
-    union, _, holes = d._union_positions()
+    union, _, holes, _ = d._union_positions()
     found = _first_escape(d, _hole_values(d, [{h} for h in d.terms])[1] != 0, lambda beta: beta)
     checked, counter = total, None
     if found is not None:
@@ -459,8 +459,7 @@ def verdict(c: Codeword, *, with_oracle: bool = False, oracle_cap: int = DEFAULT
     if decomposition is not None:
         if decomposition.space is not space:
             raise ValueError("the decomposition belongs to another space")
-        union = decomposition._union_positions()[0]
-        combined = decomposition._union_sum(decomposition.terms.values())
+        union, _, _, combined = decomposition._union_positions()
         if np.count_nonzero(combined) != wt or not np.array_equal(combined, c.values[union]):
             raise ValueError("the decomposition does not combine to the codeword")
     flags = list(bounds.regime_flags(bounds.context_for(c), weight=wt))

@@ -89,6 +89,36 @@ def test_geom_info_table_too_long_to_print(capsys):
                            "regime_flags": [], "version": "0.1.0"}
 
 
+def test_geom_info_refuses_long_table_before_building_it(capsys, monkeypatch):
+    """theta(10000) of GF(4) cannot print, so no entry of U is built: the
+    error report is the one serialising theta(10000) raises."""
+    def unreachable(*args):
+        raise AssertionError("a table entry was built")
+    monkeypatch.setattr(cli.bounds, "thick_bound_U", unreachable)
+    with pytest.raises(ValueError) as refused:
+        json.dumps(cli.bounds.theta(10000, 4))
+    rc, out = _run(capsys, ["geom-info", "10000", "2", "2"])
+    assert rc == 1
+    assert json.loads(out) == {
+        "error": str(refused.value),
+        "meta": {"input_sha256": hashlib.sha256(b"geom-info:10000:2:2").hexdigest(),
+                 "regime_flags": [], "version": "0.1.0"}}
+
+
+def test_geom_info_large_prime_p(capsys):
+    """p = 2^61 - 1 is proved prime at once and its table printed; the
+    prime 2^89 - 1 lies above the exact range of the primality test and
+    is refused with an error report naming that range."""
+    rc, out = _run(capsys, ["geom-info", "3", str(2 ** 61 - 1), "2"])
+    assert rc in (0, 2)
+    assert json.loads(out)["q"] == (2 ** 61 - 1) ** 2
+    rc, out = _run(capsys, ["geom-info", "2", str(2 ** 89 - 1), "2"])
+    assert rc == 1
+    rep = json.loads(out)
+    assert set(rep) == {"error", "meta"}
+    assert "3317044064679887385961981" in rep["error"]
+
+
 def test_analyze_two_line_difference(tmp_path, capsys):
     spec = {"n": 2, "p": 2, "h": 5, "terms": [[0, 1], [5, 1]]}
     path = tmp_path / "spec.json"

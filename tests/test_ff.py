@@ -18,6 +18,33 @@ TABLE_FIELDS = [(2, 1), (3, 1), (2, 6), (11, 2), (5, 3), (2, 11), (3, 7), (7, 4)
                 (5, 5), (4093, 1), (2, 12)]
 
 
+def _psub(a, b, p):
+    n = max(len(a), len(b))
+    a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
+    return ff._ptrim([(u - v) % p for u, v in zip(a, b)])
+
+
+def _pgcd(a, b, p):
+    while b:
+        a, b = b, ff._pmod(a, b, p)
+    return a
+
+
+def rabin_irreducible(f, p):
+    """Rabin's criterion, the reference for trial division: a monic f of
+    degree h >= 1 over F_p is irreducible iff x^(p^h) = x (mod f) and
+    gcd(x^(p^(h/l)) - x, f) = 1 for every prime l | h."""
+    h = len(f) - 1
+    x = ff._pmod([0, 1], f, p)
+
+    def frobenius_minus_x(e):
+        return _psub(ff._ppowmod([0, 1], p ** e, f, p), x, p)
+
+    return (not frobenius_minus_x(h)
+            and all(len(_pgcd(f, frobenius_minus_x(h // ell), p)) == 1
+                    for ell in ff._prime_factors(h)))
+
+
 def test_is_prime():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert not is_prime(1)
@@ -25,28 +52,63 @@ def test_is_prime():
     assert is_prime(2 ** 13 - 1)
 
 
+def test_is_prime_miller_rabin():
+    """Miller-Rabin to the bases 2 .. 41 agrees with a sieve below 20000,
+    proves p = 2^61 - 1 prime and three strong pseudoprimes to the small
+    bases composite, and refuses the prime 2^89 - 1, above its exact range."""
+    sieve = [True] * 20000
+    sieve[0] = sieve[1] = False
+    for i in range(2, 142):
+        sieve[i * i::i] = [False] * len(sieve[i * i::i])
+    assert [is_prime(n) for n in range(20000)] == sieve
+    assert is_prime(2 ** 61 - 1)
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+    with pytest.raises(ValueError, match=str(ff._MR_BOUND)):
+        is_prime(2 ** 89 - 1)
+
+
 def test_field_rejects_bad_parameters():
     with pytest.raises(ValueError):
         field_make(4, 2)
     with pytest.raises(ValueError):
         field_make(5, 0)
-    # x^2 + 1 is reducible over F_5 (x = 2 is a root)
-    with pytest.raises(ValueError):
+    # the modulus is fixed by (p, h); a caller cannot pass one
+    with pytest.raises(TypeError):
         field_make(5, 2, modulus=[1, 0, 1])
 
 
 def test_default_modulus_is_tested_for_irreducibility_once(monkeypatch):
-    """The lowest irreducible is not re-tested by the field build; a
-    modulus the caller supplies is."""
+    """The field build tests exactly the candidates of the lowest-lex search."""
     calls = []
     test = ff.is_irreducible
     monkeypatch.setattr(ff, "is_irreducible", lambda f, p: calls.append(f) or test(f, p))
     ff.lowest_irreducible(2, 6)
-    searched = len(calls)
+    searched = list(calls)
     assert field_make(2, 6).modulus == tuple(calls[-1])
-    assert len(calls) == 2 * searched
-    field_make(2, 6, modulus=calls[-1])
-    assert len(calls) == 2 * searched + 1
+    assert calls == 2 * searched
+
+
+def test_trial_division_against_rabin():
+    """is_irreducible agrees with Rabin's criterion on all 2052 monic
+    polynomials of degree <= 8, 5, 4 and 3 over F_2, F_3, F_5 and F_7, and
+    lowest_irreducible with a Rabin search on all 604 fields with q <= 4096."""
+    checked = 0
+    for p, top in ((2, 8), (3, 5), (5, 4), (7, 3)):
+        for h in range(1, top + 1):
+            for code in range(p ** h):
+                f = ff._monic(code, h, p)
+                assert is_irreducible(f, p) == rabin_irreducible(f, p), (f, p)
+                checked += 1
+    assert checked == 2052
+    assert not is_irreducible([1], 5)
+    fields = [(p, h) for p in range(2, ff.MAX_Q + 1) if is_prime(p)
+              for h in range(1, 13) if p ** h <= ff.MAX_Q]
+    assert len(fields) == 604
+    for p, h in fields:
+        want = next(f for f in (ff._monic(code, h, p) for code in range(p ** h))
+                    if rabin_irreducible(f, p))
+        assert lowest_irreducible(p, h) == want, (p, h)
 
 
 @pytest.mark.parametrize("p,h", [(2, 13), (4099, 1), (2, 10 ** 9), (2 ** 61 - 1, 1)])

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pgcodes import bounds, geometry
+from pgcodes import bounds, geometry, minimality
 from pgcodes import (AdjacencyWitnessGraph, BoundContext, Codeword, Decomposition,
                      NoDecompositionError, OracleResult, combine, decompose,
                      incidence_codeword, nullspace, oracle_minimal,
@@ -845,6 +845,29 @@ def test_verdict_reads_each_term_hyperplane_once(spaces, monkeypatch):
     rep = verdict(cw, with_oracle=True, decomposition=d)
     assert rep.verdict == VERDICT_NOT_MINIMAL and rep.oracle.counterexample is not None
     assert len(rows) <= d.m
+
+
+def test_verdict_sums_c_on_union_once(spaces, monkeypatch):
+    """c on U comes from the one sort of the union: in a NotMinimal verdict
+    with the oracle, `_union_sum` runs only for the null-space vectors that
+    the witness and the oracle try, never for c itself."""
+    sp = spaces(3, 5, 3)
+    cw, d = random_combination(sp, 4, np.random.default_rng(103))
+    sums, tried = [], []
+    union_sum = Decomposition._union_sum
+    monkeypatch.setattr(Decomposition, "_union_sum",
+                        lambda self, coefs: sums.append(1) or union_sum(self, coefs))
+    kernel = minimality.nullspace
+
+    def spy(*args):
+        for beta in kernel(*args):
+            tried.append(beta)
+            yield beta
+
+    monkeypatch.setattr(minimality, "nullspace", spy)
+    rep = verdict(cw, with_oracle=True, decomposition=d)
+    assert rep.verdict == VERDICT_NOT_MINIMAL and rep.oracle.counterexample is not None
+    assert len(sums) == len(tried) > 0
 
 
 def test_report_json_shape(spaces):
