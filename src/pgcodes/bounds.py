@@ -120,14 +120,14 @@ def classify(c: Codeword, sub: SubspacePointSet) -> Classification:
 
 @dataclass(frozen=True)
 class SecantSpectrum:
-    """Histogram of |line & supp(c)| over every line of the space."""
+    """Histogram of |line & supp(c)| over every line of the space; only
+    sizes met by at least one line are keys."""
 
     histogram: dict[int, int]
     total_lines: int
 
     def to_json(self) -> dict:
-        return {"histogram": [[s, self.histogram[s]]
-                              for s in sorted(self.histogram) if self.histogram[s]]}
+        return {"histogram": [[s, self.histogram[s]] for s in sorted(self.histogram)]}
 
 
 def _affine_counts(field, dim: int, x: np.ndarray, on_inf: np.ndarray,
@@ -251,8 +251,7 @@ def max_thin_secant(c: Codeword, *, spectrum: Optional[SecantSpectrum] = None) -
     if spectrum is None:
         spectrum = secant_spectrum(c)
     w1 = weight_bound_W(1, context_for(c))
-    thin_sizes = [s for s, k in spectrum.histogram.items() if k and s <= w1]
-    return max(thin_sizes, default=0)
+    return max((s for s in spectrum.histogram if s <= w1), default=0)
 
 
 # ---------------------------------------------------------------------------

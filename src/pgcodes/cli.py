@@ -34,7 +34,6 @@ from . import __version__, bounds, codes, minimality
 from .bounds import BoundContext
 from .ff import field_make
 from .geometry import ProjectiveSpace, space_make
-from .minimality import NoDecompositionError
 
 
 def _emit(report: dict, out: Optional[str]):
@@ -66,9 +65,14 @@ def cmd_geom_info(args) -> int:
     key = f"geom-info:{args.n}:{args.p}:{args.h}".encode()
     try:
         ctx = BoundContext(args.n, args.p, args.h)
+        # theta(n) > q^n: a table whose theta(n) cannot print is refused
+        # before any entry is built, with the error serialising it would
+        # raise.  Bit lengths decide it before q^n is built when
+        # q^n >= 2^(n h (bitlen(p) - 1)) >= 2^(4 limit) > 10^limit.
+        limit = getattr(sys, "get_int_max_str_digits", int)()   # 0: no limit
+        if limit and ctx.n * ctx.h * (ctx.p.bit_length() - 1) >= 4 * limit:
+            str(10 ** limit)
         q = ctx.q
-        # theta(n) >= q^n: a table whose theta(n) cannot print is refused
-        # before any entry is built, with the error serialising it would raise
         str(bounds.theta(ctx.n, q))
         report = {
             "n": ctx.n, "p": ctx.p, "h": ctx.h, "q": q,
@@ -107,7 +111,8 @@ def _spec_key(spec: dict, key: str) -> int:
 
 
 def _build_from_spec(spec: dict, cap_points: Optional[int]):
-    """Returns (space, codeword, fixture_info) for a codeword spec dict."""
+    """(codeword, the decomposition that `combine` built it from, fixture
+    info or None) for a codeword spec dict."""
     if not isinstance(spec, dict):
         raise ValueError("a codeword spec must be a JSON object")
     n, p, h = (_spec_key(spec, k) for k in ("n", "p", "h"))
@@ -129,45 +134,41 @@ def _build_from_spec(spec: dict, cap_points: Optional[int]):
             else:
                 hidx = codes.checked_index(hspec, space, "hyperplane")
             terms.append((hidx, codes.checked_int(coef, "a coefficient")))
-        cw, _ = codes.combine(space, terms)
-        return space, cw, None
+        return (*codes.combine(space, terms), None)
     if fixture == "szonyi":
-        cw, info = minimality.szonyi_example(space)
-    elif fixture in ("pencil", "no-hole-line"):
-        cw, info = minimality.p2_fixtures(space, fixture)
-    elif fixture == "random-j":
-        j = _spec_key(spec, "j")
-        if not 0 <= j <= space.num_hyperplanes:
-            raise ValueError(f"j must lie in [0, {space.num_hyperplanes}], got {j}")
-        seed = codes.checked_int(spec.get("seed", 0), "seed")
-        if seed < 0:
-            raise ValueError(f"seed must be non-negative, got {seed}")
-        rng = np.random.default_rng(seed)
-        cw, d = minimality.random_combination(space, j, rng)
-        info = {"terms": d.to_json()["terms"], "seed": seed}
-    else:
+        return minimality.szonyi_example(space)
+    if fixture in ("pencil", "no-hole-line"):
+        return minimality.p2_fixtures(space, fixture)
+    if fixture != "random-j":
         raise ValueError(f"unknown fixture {fixture!r}")
-    return space, cw, info
+    j = _spec_key(spec, "j")
+    if not 0 <= j <= space.num_hyperplanes:
+        raise ValueError(f"j must lie in [0, {space.num_hyperplanes}], got {j}")
+    seed = codes.checked_int(spec.get("seed", 0), "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    cw, d = minimality.random_combination(space, j, np.random.default_rng(seed))
+    return cw, d, {"terms": d.to_json()["terms"], "seed": seed}
 
 
 def cmd_fixture(args) -> int:
-    """The expanded spec, or a report of only `error` and `meta` (the
-    fixture's name and the version) and exit code 1 when it cannot be built."""
+    """The expanded spec, whose terms are the fixture's own defining terms,
+    or a report of only `error` and `meta` (the fixture's name and the
+    version) and exit code 1 when it cannot be built."""
     spec = {"n": args.n, "p": args.p, "h": args.h, "fixture": args.name}
     if args.name == "random-j":
         spec["j"] = args.j
         spec["seed"] = args.seed
     meta = {"fixture": args.name, "version": __version__}
     try:
-        space, cw, info = _build_from_spec(spec, args.cap_points)
-        d = minimality.decompose(cw) if codes.weight(cw) else None
+        cw, d, info = _build_from_spec(spec, args.cap_points)
     except ValueError as exc:
         _emit({"error": str(exc), "meta": meta}, args.out)
         return 1
     expanded = {
         "n": args.n, "p": args.p, "h": args.h,
-        "terms": [[space.hyperplane_table[hidx].tolist(), coef]
-                  for hidx, coef in (d.terms.items() if d else [])],
+        "terms": [[cw.space.hyperplane_table[hidx].tolist(), coef]
+                  for hidx, coef in d.terms.items()],
         "meta": {**meta, "info": info},
     }
     _emit(expanded, args.out)
@@ -200,9 +201,10 @@ def _analyze(args, raw: bytes) -> tuple[dict, int]:
     """
     try:
         spec = json.loads(raw.decode("utf-8"))
-        space, cw, info = _build_from_spec(spec, args.cap_points)
+        cw, _, info = _build_from_spec(spec, args.cap_points)
     except (ValueError, RecursionError) as exc:      # RecursionError: JSON nested too deep
         return {"error": str(exc), "meta": _meta(raw, [])}, 1
+    space = cw.space
     ctx = bounds.context_for(cw)
     wt = codes.weight(cw)
     flags = bounds.regime_flags(ctx, weight=wt)
@@ -240,7 +242,7 @@ def _analyze(args, raw: bytes) -> tuple[dict, int]:
                                      oracle_cap=args.cap_oracle,
                                      decomposition=d)
             report["minimality"] = rep.to_json()
-    except (NoDecompositionError, ValueError) as exc:
+    except ValueError as exc:                        # NoDecompositionError is one
         report["error"] = str(exc)
         rc = 1
     if not rc and flags and not args.no_regime_exit:
@@ -318,9 +320,7 @@ def _suite_secants(args) -> list[tuple[str, callable]]:
             cw, _ = minimality.random_combination(space, j, rng)
             spec = bounds.secant_spectrum(cw, max_lines=args.cap_lines,
                                           threads=args.threads)
-            for s, k in spec.histogram.items():
-                if k == 0:
-                    continue
+            for s in spec.histogram:
                 assert not (dn + 1 <= s <= space.q - dn + 1), f"{s}-secant in gap"
                 assert s <= w1 or s >= u1, f"{s}-secant neither thin nor thick"
 
@@ -347,7 +347,7 @@ def _suite_roundtrip(args) -> list[tuple[str, callable]]:
 def _suite_minimality(args) -> list[tuple[str, callable]]:
     def seven_line():
         space = _space_from_params(2, 5, 3, args.cap_points)
-        cw, info = minimality.szonyi_example(space)
+        cw, _, info = minimality.szonyi_example(space)
         rep = minimality.verdict(cw, with_oracle=True, oracle_cap=args.cap_oracle)
         expected = {frozenset(info["r"] + [info["s_prime"]]),
                     frozenset(info["s"] + [info["r_prime"]]),
@@ -360,7 +360,7 @@ def _suite_minimality(args) -> list[tuple[str, callable]]:
     def char2_fixtures():
         space = _space_from_params(2, 2, 5, args.cap_points)
         for kind in ("pencil", "no-hole-line"):
-            cw, _ = minimality.p2_fixtures(space, kind)
+            cw = minimality.p2_fixtures(space, kind)[0]
             rep = minimality.verdict(cw, with_oracle=True, oracle_cap=args.cap_oracle)
             assert rep.verdict == minimality.VERDICT_NOT_MINIMAL, kind
             w = rep.witness

@@ -308,13 +308,6 @@ class Field:
     def __repr__(self):
         return f"Field(p={self.p}, h={self.h}, q={self.q})"
 
-    def __eq__(self, other):
-        return (isinstance(other, Field)
-                and (self.p, self.h, self.modulus) == (other.p, other.h, other.modulus))
-
-    def __hash__(self):
-        return hash((self.p, self.h, self.modulus))
-
 
 def field_make(p: int, h: int) -> Field:
     """Build GF(p^h) modulo the lowest-lex monic irreducible of degree h."""

@@ -498,7 +498,12 @@ def verdict(c: Codeword, *, with_oracle: bool = False, oracle_cap: int = DEFAULT
 # Named fixtures
 # ---------------------------------------------------------------------------
 
-def szonyi_example(space: ProjectiveSpace) -> tuple[Codeword, dict]:
+def _lines_through(space: ProjectiveSpace, point: int, k: int, skip: int = -1) -> list[int]:
+    """The k lowest-index lines through a point, other than `skip`."""
+    return [int(i) for i in np.sort(space.pencil_indices(point)) if i != skip][:k]
+
+
+def szonyi_example(space: ProjectiveSpace) -> tuple[Codeword, Decomposition, dict]:
     """Seven-line plane configuration: two triples of lines through two points
     of a common transversal, with coefficients (+1, +1, -1) per triple and -1
     on the transversal.  Deterministic lowest-index choices throughout."""
@@ -507,26 +512,24 @@ def szonyi_example(space: ProjectiveSpace) -> tuple[Codeword, dict]:
     if space.field.p <= 3:
         raise ValueError("requires p > 3")
     t = 0
-    t_points = np.sort(space.hyperplane_point_indices(t))
-    r_pt, s_pt = int(t_points[0]), int(t_points[1])
-    r_lines = [int(i) for i in np.sort(space.pencil_indices(r_pt)) if i != t][:3]
-    s_lines = [int(i) for i in np.sort(space.pencil_indices(s_pt)) if i != t][:3]
+    r_pt, s_pt = (int(i) for i in np.sort(space.hyperplane_point_indices(t))[:2])
+    r_lines = _lines_through(space, r_pt, 3, skip=t)
+    s_lines = _lines_through(space, s_pt, 3, skip=t)
     p = space.field.p
     terms = [
         (r_lines[0], 1), (r_lines[1], 1), (r_lines[2], p - 1),
         (s_lines[0], 1), (s_lines[1], 1), (s_lines[2], p - 1),
         (t, p - 1),
     ]
-    cw, _ = combine(space, terms)
     info = {
         "t": t, "R": r_pt, "S": s_pt,
         "r": r_lines[:2], "r_prime": r_lines[2],
         "s": s_lines[:2], "s_prime": s_lines[2],
     }
-    return cw, info
+    return (*combine(space, terms), info)
 
 
-def p2_fixtures(space: ProjectiveSpace, kind: str) -> tuple[Codeword, dict]:
+def p2_fixtures(space: ProjectiveSpace, kind: str) -> tuple[Codeword, Decomposition, dict]:
     """Characteristic-2 plane configurations with all coefficients 1.
 
     "pencil":       three lines through a common point.
@@ -537,19 +540,17 @@ def p2_fixtures(space: ProjectiveSpace, kind: str) -> tuple[Codeword, dict]:
         raise ValueError("fixtures are defined for p = 2, n = 2")
     if kind == "pencil":
         vertex = 0
-        lines = [int(i) for i in np.sort(space.pencil_indices(vertex))][:3]
-        cw, _ = combine(space, [(l, 1) for l in lines])
-        return cw, {"vertex": vertex, "lines": lines}
-    if kind == "no-hole-line":
+        lines = _lines_through(space, vertex, 3)
+        info = {"vertex": vertex, "lines": lines}
+    elif kind == "no-hole-line":
         base = 0
-        base_points = np.sort(space.hyperplane_point_indices(base))
-        a_pt, b_pt = int(base_points[0]), int(base_points[1])
-        a_lines = [int(i) for i in np.sort(space.pencil_indices(a_pt)) if i != base][:2]
-        b_lines = [int(i) for i in np.sort(space.pencil_indices(b_pt)) if i != base][:2]
-        lines = [base] + a_lines + b_lines
-        cw, _ = combine(space, [(l, 1) for l in lines])
-        return cw, {"base": base, "A": a_pt, "B": b_pt, "lines": lines}
-    raise ValueError(f"unknown fixture kind: {kind!r}")
+        a_pt, b_pt = (int(i) for i in np.sort(space.hyperplane_point_indices(base))[:2])
+        lines = ([base] + _lines_through(space, a_pt, 2, skip=base)
+                 + _lines_through(space, b_pt, 2, skip=base))
+        info = {"base": base, "A": a_pt, "B": b_pt, "lines": lines}
+    else:
+        raise ValueError(f"unknown fixture kind: {kind!r}")
+    return (*combine(space, [(l, 1) for l in lines]), info)
 
 
 def random_combination(space: ProjectiveSpace, j: int, rng: np.random.Generator

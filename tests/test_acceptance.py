@@ -149,7 +149,7 @@ def test_criterion_6_seven_line_example(spaces):
     Minimal by the 5^7-combination oracle; < 1 min."""
     t0 = time.time()
     sp = spaces(2, 5, 3)
-    cw, info = szonyi_example(sp)
+    cw, _, info = szonyi_example(sp)
     rep = verdict(cw, with_oracle=True)
     expected_blocks = {frozenset(info["r"] + [info["s_prime"]]),
                        frozenset(info["s"] + [info["r_prime"]]),
@@ -172,7 +172,7 @@ def test_criterion_7_non_minimality_constructions(spaces):
     sp125 = spaces(2, 5, 3)
     cases = []
     for kind in ("pencil", "no-hole-line"):
-        cw, _ = p2_fixtures(sp32, kind)
+        cw, _, _ = p2_fixtures(sp32, kind)
         cases.append((kind, cw))
     # in-regime two-block instance: same-sign pair of lines at q = 125
     cw125, _ = combine(sp125, [(2, 1), (40, 1)])

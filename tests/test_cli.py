@@ -4,11 +4,12 @@ import argparse
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from pgcodes import cli
-
+from pgcodes import cli, p2_fixtures, szonyi_example, weight
 from pgcodes.cli import main
+from pgcodes.minimality import random_combination
 
 
 def _run(capsys, argv):
@@ -105,6 +106,28 @@ def test_geom_info_refuses_long_table_before_building_it(capsys, monkeypatch):
                  "regime_flags": [], "version": "0.1.0"}}
 
 
+def test_geom_info_refuses_from_bit_lengths_before_any_power(capsys, monkeypatch):
+    """A table whose q^n has at least 4 * limit bits by the bit lengths of
+    n, p and h is refused before q or any theta is computed, with the
+    report that serialising theta(n) gives."""
+    with pytest.raises(ValueError) as refused:
+        str(cli.bounds.theta(10000, 4))
+
+    def unreachable(*args):
+        raise AssertionError("a power was built")
+    monkeypatch.setattr(cli.BoundContext, "q", property(unreachable))
+    monkeypatch.setattr(cli.bounds, "theta", unreachable)
+    for argv in (["50000000", "2", "2"], ["100000", "3", "100"],
+                 ["2", "3", "1000000"], ["2", "3", "10000000"]):
+        rc, out = _run(capsys, ["geom-info", *argv])
+        assert rc == 1
+        key = ":".join(["geom-info", *argv]).encode()
+        assert json.loads(out) == {
+            "error": str(refused.value),
+            "meta": {"input_sha256": hashlib.sha256(key).hexdigest(),
+                     "regime_flags": [], "version": "0.1.0"}}
+
+
 def test_geom_info_large_prime_p(capsys):
     """p = 2^61 - 1 is proved prime at once and its table printed; the
     prime 2^89 - 1 lies above the exact range of the primality test and
@@ -197,6 +220,7 @@ MALFORMED_SPECS = [
     ({"n": 2, "p": 5, "h": 3, "fixture": "random-j", "j": -1, "seed": 1}, "j must lie in [0, 15751]"),
     ({"n": 2, "p": 5, "h": 3, "fixture": "random-j", "j": 99999, "seed": 1}, "j must lie in [0, 15751]"),
     ({"n": 2, "p": 5, "h": 3, "fixture": "random-j", "j": 2, "seed": -4}, "seed must be non-negative"),
+    ({"n": 2, "p": 5, "h": 3, "fixture": "nope"}, "unknown fixture 'nope'"),
 ]
 
 
@@ -204,8 +228,9 @@ MALFORMED_SPECS = [
                          ids=[f"spec{i}" for i in range(len(MALFORMED_SPECS))])
 def test_analyze_rejects_malformed_specs(tmp_path, capsys, spec, needle):
     """A spec that is not an object, whose n, p, h, terms, j or seed is
-    missing or not of the expected type, or whose space exceeds the point
-    cap, ends in an error naming the fault and exit 1."""
+    missing or not of the expected type, whose fixture has no builder, or
+    whose space exceeds the point cap, ends in an error naming the fault
+    and exit 1."""
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     assert needle in _error_report(capsys, path)
@@ -321,6 +346,35 @@ def test_analyze_seven_line_fixture_with_oracle(tmp_path, capsys):
     assert rep["thin_thick_lines"]["neither"] == 0
 
 
+@pytest.mark.parametrize("argv,error", [
+    (["--decompose", "--spectrum", "--cap-lines", "1"], "line count 15751 exceeds the cap of 1"),
+    (["--decompose", "--minimality", "--oracle", "--cap-oracle", "1"],
+     "p^m = 78125 exceeds the oracle cap 1"),
+], ids=["spectrum-cap", "oracle-cap"])
+def test_analyze_keeps_the_report_before_a_failed_stage(tmp_path, capsys, argv, error):
+    """A stage refused after the codeword is built exits 1 with the keys
+    computed before it, the decomposition among them, and an `error`."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"n": 2, "p": 5, "h": 3, "fixture": "szonyi"}))
+    rc, out = _run(capsys, ["analyze", str(path), *argv])
+    assert rc == 1
+    rep = json.loads(out)
+    assert set(rep) == {"space", "weight", "support_size", "meta", "fixture",
+                        "decomposition", "error"}
+    assert rep["error"] == error
+    assert len(rep["decomposition"]["terms"]) == 7
+
+
+def test_analyze_spectrum_threads_agree(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"n": 2, "p": 5, "h": 3, "fixture": "szonyi"}))
+    reports = [tmp_path / f"threads{t}.json" for t in (1, 2)]
+    for t, out in zip((1, 2), reports):
+        assert main(["analyze", str(path), "--spectrum", "--threads", str(t),
+                     "--out", str(out)]) == 0
+    assert reports[0].read_bytes() == reports[1].read_bytes()
+
+
 def test_analyze_out_of_regime_exit_code(tmp_path, capsys):
     spec = {"n": 2, "p": 2, "h": 5, "fixture": "no-hole-line"}
     path = tmp_path / "spec.json"
@@ -355,6 +409,28 @@ def test_fixture_roundtrip_through_analyze(tmp_path, capsys):
     rc2, out = _run(capsys, ["analyze", str(path)])
     assert rc2 == 0
     assert json.loads(out)["weight"] == 97
+
+
+@pytest.mark.parametrize("argv,build,m", [
+    (["szonyi", "--p", "5", "--h", "1"], szonyi_example, 7),
+    (["random-j", "--p", "2", "--h", "5", "--j", "12", "--seed", "0"],
+     lambda sp: random_combination(sp, 12, np.random.default_rng(0)), 12),
+    (["no-hole-line", "--p", "2", "--h", "2"], lambda sp: p2_fixtures(sp, "no-hole-line"), 5),
+], ids=["szonyi-prime-field", "random-j-above-W", "no-hole-line-q4"])
+def test_fixture_emits_its_defining_terms(tmp_path, capsys, spaces, argv, build, m):
+    """`fixture` emits the terms its builder combined, also where peeling
+    the codeword fails (the first two) or finds other terms (the third);
+    `analyze` reads the expanded spec back to the fixture's weight."""
+    path = tmp_path / "fixture.json"
+    assert main(["fixture", *argv, "--n", "2", "--out", str(path)]) == 0
+    emitted = json.loads(path.read_text())
+    sp = spaces(2, emitted["p"], emitted["h"])
+    cw, d = build(sp)[:2]
+    assert len(d.terms) == m
+    assert emitted["terms"] == [[sp.hyperplane_table[h].tolist(), c] for h, c in d.terms.items()]
+    rc, out = _run(capsys, ["analyze", str(path)])
+    assert rc in (0, 2)
+    assert json.loads(out)["weight"] == weight(cw)
 
 
 def test_verify_suites_pass(capsys):
@@ -397,3 +473,22 @@ def test_verify_reports_an_error_in_a_check_and_keeps_going(capsys, monkeypatch)
     assert any(ln.startswith("PASS bounds:passes") for ln in lines)
     assert any(ln.startswith("PASS minimality:char2-fixtures") for ln in lines)
     assert lines[-1] == "FAILED"
+
+
+def test_verify_reports_a_failed_assertion_and_keeps_going(capsys, monkeypatch):
+    """A check whose assertion fails prints `FAIL name [time] (message)`
+    with no traceback, and the checks after it still run."""
+    def broken(args):
+        def fails():
+            raise AssertionError("7-secant in gap")
+        return [("fails", fails), ("passes", lambda: None)]
+
+    monkeypatch.setattr(cli, "_suite_bounds", broken)
+    assert main(["verify", "bounds"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert len(lines) == 3
+    assert lines[0].startswith("FAIL bounds:fails [") and lines[0].endswith("s] (7-secant in gap)")
+    assert lines[1].startswith("PASS bounds:passes")
+    assert lines[2] == "FAILED"

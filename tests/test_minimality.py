@@ -226,7 +226,7 @@ def test_decompose_zero(spaces):
 def test_decompose_out_of_regime_is_flagged(spaces):
     """Five lines exceed W(2,32); best-effort peeling still recovers them."""
     sp = spaces(2, 2, 5)
-    cw, info = p2_fixtures(sp, "no-hole-line")
+    cw, _, info = p2_fixtures(sp, "no-hole-line")
     assert weight(cw) == 153 > 132
     d = decompose(cw)
     assert set(d.terms) == set(info["lines"])
@@ -274,7 +274,7 @@ def test_same_sign_pair_stays_split(spaces):
 
 def test_refinement_monotone(spaces):
     sp = spaces(2, 5, 3)
-    cw, info = szonyi_example(sp)
+    cw, _, info = szonyi_example(sp)
     d = decompose(cw)
     fix, history = refine_to_fixpoint(d)
     assert history[0].generation == 0
@@ -288,7 +288,7 @@ def test_refinement_monotone(spaces):
 def test_adjacency_witnesses_recheck(spaces):
     """Stored witness points satisfy the three adjacency conditions."""
     sp = spaces(2, 5, 3)
-    cw, _ = szonyi_example(sp)
+    cw, _, _ = szonyi_example(sp)
     d = decompose(cw)
     part = _make_partition([{h} for h in d.terms], 0)
     graph = build_adjacency(d, part)
@@ -496,7 +496,7 @@ def test_verdict_memory_is_not_blocks_times_union(spaces):
 
 def test_seven_line_structure(spaces):
     sp = spaces(2, 5, 3)
-    cw, info = szonyi_example(sp)
+    cw, _, info = szonyi_example(sp)
     assert weight(cw) <= 7 * (sp.q + 1)
     assert weight(cw) <= 1260  # W(2,125)
     assert cw.values[info["R"]] == 0 and cw.values[info["S"]] == 0
@@ -547,7 +547,7 @@ def test_verdict_without_witness_is_undetermined(spaces):
 
 def test_build_witness_precondition(spaces):
     sp = spaces(2, 5, 3)
-    cw, _ = szonyi_example(sp)
+    cw, _, _ = szonyi_example(sp)
     d = decompose(cw)
     fix, _ = refine_to_fixpoint(d)
     holes = exceptional_holes(d, fix)
@@ -560,7 +560,7 @@ def test_build_witness_refuses_a_support_point(spaces):
     """The hole system has one column per hole of c: a given point of U
     where c is nonzero is refused, and a point off U adds no equation."""
     sp = spaces(2, 2, 5)
-    cw, info = p2_fixtures(sp, "pencil")
+    cw, _, info = p2_fixtures(sp, "pencil")
     d = decompose(cw)
     fix, _ = refine_to_fixpoint(d)
     assert fix.size == 3 and exceptional_holes(d, fix) == ()
@@ -575,7 +575,7 @@ def test_build_witness_refuses_a_support_point(spaces):
 
 def test_p2_pencil_witness_is_single_line(spaces):
     sp = spaces(2, 2, 5)
-    cw, info = p2_fixtures(sp, "pencil")
+    cw, _, info = p2_fixtures(sp, "pencil")
     rep = verdict(cw, with_oracle=True)
     assert rep.fixpoint.size == 3
     assert rep.exceptional_holes == ()
@@ -589,7 +589,7 @@ def test_p2_no_hole_line_corollary_case(spaces):
     """Fixpoint of exactly two blocks: the corollary applies and the witness
     verifies; exceptional holes are forced empty."""
     sp = spaces(2, 2, 5)
-    cw, info = p2_fixtures(sp, "no-hole-line")
+    cw, _, info = p2_fixtures(sp, "no-hole-line")
     rep = verdict(cw, with_oracle=True)
     assert rep.fixpoint.size == 2
     assert rep.exceptional_holes == ()
@@ -772,7 +772,7 @@ def test_oracle_cap(spaces):
 
 def test_oracle_counterexample_is_valid(spaces):
     sp = spaces(2, 2, 5)
-    cw, info = p2_fixtures(sp, "pencil")
+    cw, _, info = p2_fixtures(sp, "pencil")
     d = decompose(cw)
     res = oracle_minimal(d)
     assert res.minimal is False
@@ -872,7 +872,7 @@ def test_verdict_sums_c_on_union_once(spaces, monkeypatch):
 
 def test_report_json_shape(spaces):
     sp = spaces(2, 5, 3)
-    cw, _ = szonyi_example(sp)
+    cw, _, _ = szonyi_example(sp)
     rep = verdict(cw, with_oracle=True)
     data = rep.to_json()
     assert set(data) == {"decomposition", "partition_history", "fixpoint",
