@@ -30,7 +30,9 @@ from .ff import Field
 DEFAULT_POINT_CAP = 10_000_000
 # The quotient pencil table (see `ProjectiveSpace._quotient_rows`) is kept
 # while its int32 entries fit this many bytes: 7.9 MB at PG(3,125), 152 MB
-# at PG(4,32).  Above it the rows are computed on each call.
+# at PG(4,32).  Above it the rows are computed on each call.  At n >= 3
+# only the full-pencil fallback of the peel reads it, so a space whose
+# peels are all certified never builds it.
 QUOTIENT_TABLE_CAP_BYTES = 256 << 20
 # Row blocks of the orthogonality primitive hold at most this many entries.
 _CHUNK_ENTRIES = 1 << 18

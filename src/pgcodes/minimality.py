@@ -117,25 +117,33 @@ class MinimalityReport:
 # Decomposition by majority peeling
 # ---------------------------------------------------------------------------
 
+def _histogram(space: ProjectiveSpace, supp: np.ndarray, vals: np.ndarray,
+               anchor_pos: int) -> np.ndarray:
+    """hist[y, alpha-1]: the support points other than the anchor
+    supp[anchor_pos] that have value alpha and project to point y of the
+    quotient PG(n-1, q).  supp is the sorted support and vals its values."""
+    p = space.field.p
+    others = np.concatenate((supp[:anchor_pos], supp[anchor_pos + 1:]))
+    others_vals = np.concatenate((vals[:anchor_pos], vals[anchor_pos + 1:]))
+    codes = space._project(int(supp[anchor_pos]), others) * (p - 1) + others_vals - 1
+    return np.bincount(codes, minlength=space.theta(space.n - 1) * (p - 1)).reshape(-1, p - 1)
+
+
 def _pencil_counts(space: ProjectiveSpace, supp: np.ndarray, vals: np.ndarray,
                    anchor_pos: int):
     """Counts of same-valued support points on every hyperplane through an anchor.
 
-    supp is the sorted support and vals its values.  The hyperplanes
-    through the anchor supp[anchor_pos] are listed by pencil_indices(anchor),
-    whose position t is a point of the quotient PG(n-1, q).  Every other
-    support point projects to a quotient point y and lies on hyperplane t
-    iff t . y = 0, so scattering the (quotient point, value) histogram
-    through the quotient rows of the nonzero y gives per-hyperplane counts.
-    Returns (counts[t, alpha-1], hyperplane index per t).
+    The hyperplanes through the anchor supp[anchor_pos] are listed by
+    pencil_indices(anchor), whose position t is a point of the quotient
+    PG(n-1, q).  A support point projecting to y lies on hyperplane t iff
+    t . y = 0, so scattering the `_histogram` through the quotient rows of
+    the nonzero y gives per-hyperplane counts.  At n >= 3 this is the
+    fallback of `_certified_candidate` and the reference it is tested
+    against.  Returns (counts[t, alpha-1], hyperplane index per t).
     """
     p = space.field.p
-    anchor = int(supp[anchor_pos])
-    cand_idx = space.pencil_indices(anchor)
-    others = np.concatenate((supp[:anchor_pos], supp[anchor_pos + 1:]))
-    others_vals = np.concatenate((vals[:anchor_pos], vals[anchor_pos + 1:]))
-    codes = space._project(anchor, others) * (p - 1) + others_vals - 1
-    hist = np.bincount(codes, minlength=len(cand_idx) * (p - 1)).reshape(-1, p - 1)
+    cand_idx = space.pencil_indices(int(supp[anchor_pos]))
+    hist = _histogram(space, supp, vals, anchor_pos)
     ys, alphas = np.nonzero(hist)
     width = space.theta(space.n - 2)
     counts = np.zeros(hist.size, dtype=np.int64)
@@ -145,6 +153,46 @@ def _pencil_counts(space: ProjectiveSpace, supp: np.ndarray, vals: np.ndarray,
     counts = counts.reshape(hist.shape)
     counts[:, int(vals[anchor_pos]) - 1] += 1            # anchor lies on every candidate
     return counts, cand_idx
+
+
+def _certified_candidate(space: ProjectiveSpace, supp: np.ndarray, vals: np.ndarray,
+                         anchor_pos: int):
+    """`_best_candidate(*_pencil_counts(...))` where a bound proves it is a
+    strict maximum, else None; with no scatter and no quotient table.
+    Requires n >= 3.
+
+    Only the theta(n-2) quotient hyperplanes ts through the point y1 of the
+    heaviest histogram cell are counted, each from its own row.  Let t* be
+    the best of them.  Two hyperplanes of the quotient share theta(n-3)
+    points, so any other t' counts at value beta at most [beta is the
+    anchor's value] plus the top theta(n-3) entries of column beta on
+    row(t*) plus the top theta(n-2) - theta(n-3) off it.  A maximum unique
+    among the counted ts that beats every such bound is the strict maximum
+    of the whole pencil, where `_best_candidate` reports no tie.
+    """
+    d = space.n - 1
+    # value-major, so that the sums and sorts below run along the last axis
+    cols = np.ascontiguousarray(_histogram(space, supp, vals, anchor_pos).T)
+    y1 = int(np.argmax(cols)) % cols.shape[1]
+    ts = space._orthogonal_indices(d, [y1])[0]
+    rows = space._orthogonal_indices(d, ts)
+    a_val = int(vals[anchor_pos]) - 1
+    counts = cols[:, rows].sum(axis=2)                   # counts[alpha-1, i] on ts[i]
+    counts[a_val] += 1
+    best = int(counts.max())
+    if np.count_nonzero(counts == best) > 1:
+        return None
+    alpha, i = np.unravel_index(int(np.argmax(counts)), counts.shape)     # t* = ts[i]
+    on_row = cols[:, rows[i]]
+    cols[:, rows[i]] = 0
+    k_on, k_off = space.theta(d - 2), space.theta(d - 1) - space.theta(d - 2)
+    # np.sort: np.partition is several times slower on these small counts
+    bound = (np.sort(on_row, axis=1)[:, -k_on:].sum(axis=1)
+             + np.sort(cols, axis=1)[:, -k_off:].sum(axis=1))
+    bound[a_val] += 1
+    if best <= bound.max():
+        return None
+    return best, int(space.pencil_indices(int(supp[anchor_pos]))[ts[i]]), int(alpha) + 1, False
 
 
 def _best_candidate(counts: np.ndarray, cand_idx: np.ndarray):
@@ -199,6 +247,9 @@ def decompose(c: Codeword) -> Decomposition:
     In the guaranteed regime the first anchor always succeeds and the term
     set is independent of the peel order, so this matches the global-maximum
     rule up to ordering.  Out of regime the peel is best-effort and flagged.
+    At n >= 3 an anchor's best candidate comes from `_certified_candidate`
+    where its bound holds, and from the whole pencil otherwise; both give
+    the same candidate, so the peels and tie-breaks do not depend on which.
 
     Raises NoDecompositionError when no majority candidate exists anywhere or
     the peel budget is exhausted with a nonzero residual.
@@ -234,8 +285,10 @@ def decompose(c: Codeword) -> Decomposition:
                 "or the input is outside the guaranteed regime)")
         found = False
         for anchor_pos in range(len(supp)):
-            counts, cand_idx = _pencil_counts(space, supp, vals, anchor_pos)
-            best, hyp, alpha, tie = _best_candidate(counts, cand_idx)
+            cand = _certified_candidate(space, supp, vals, anchor_pos) if space.n >= 3 else None
+            if cand is None:
+                cand = _best_candidate(*_pencil_counts(space, supp, vals, anchor_pos))
+            best, hyp, alpha, tie = cand
             if 2 * best > theta_h:
                 if tie:
                     tie_breaks.append(peels)

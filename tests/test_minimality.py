@@ -1,5 +1,6 @@
 """Decomposition, partition refinement, witnesses, verdicts, and the oracle."""
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,8 @@ from pgcodes import (AdjacencyWitnessGraph, BoundContext, Codeword, Decompositio
 from pgcodes.minimality import (DEFAULT_ORACLE_CAP, VERDICT_MINIMAL,
                                 VERDICT_NOT_MINIMAL, VERDICT_UNDETERMINED,
                                 NoWitnessError, OracleCapExceededError,
-                                _best_candidate, _is_scalar_multiple, _make_partition,
+                                _best_candidate, _certified_candidate,
+                                _is_scalar_multiple, _make_partition,
                                 _merge_components, _on_union, _pencil_counts, _peel,
                                 build_adjacency, build_witness,
                                 exceptional_holes, random_combination)
@@ -91,7 +93,9 @@ def test_decompose_prime_field_flagged(spaces):
 def test_decompose_above_quotient_table_cap(spaces, fields, monkeypatch, key):
     """With the table cap at 0 the quotient rows are computed on each call;
     the terms match the ground truth and the tie-breaks match the cached
-    table.  A fresh space, since the shared `spaces` fixture keeps its tables."""
+    table.  At n = 3 only the full-pencil fallback reads quotient rows, and
+    here only the tie case reaches it.  A fresh space, since the shared
+    `spaces` fixture keeps its tables."""
     sp = spaces(*key)
     rng = np.random.default_rng(33)
     cases = [random_combination(sp, j, rng) for j in (1, 2, 3, 4)]
@@ -107,6 +111,33 @@ def test_decompose_above_quotient_table_cap(spaces, fields, monkeypatch, key):
         assert d.terms == d_true.terms
         assert d.tie_breaks == d_cached.tie_breaks
     assert fresh._quotient_table is None
+
+
+def _codim2_pencil(space):
+    """Three hyperplanes through a codimension-2 space that holds point 0,
+    with coefficients 1, 1, -1.  At point 0, the lowest support point, the
+    first two are candidates of equal count: a tie."""
+    h1, h2 = (int(h) for h in np.sort(space.pencil_indices(0))[:2])
+    common = np.intersect1d(space.hyperplane_point_indices(h1),
+                            space.hyperplane_point_indices(h2))
+    through = functools.reduce(np.intersect1d, [space.pencil_indices(int(x)) for x in common])
+    return [(int(h), a) for h, a in zip(through[:3], (1, 1, space.field.p - 1))]
+
+
+def test_certified_peel_leaves_the_quotient_table_unbuilt(fields):
+    """In the regime every peel is certified, so `decompose` never builds
+    the quotient table; the tie case falls back to the full pencil, which
+    builds it.  A fresh space, since the shared `spaces` fixture keeps its
+    tables."""
+    sp = space_make(3, fields(2, 5))
+    rng = np.random.default_rng(34)
+    for j in (1, 2, 3, 4):
+        cw, d_true = random_combination(sp, j, rng)
+        assert decompose(cw).terms == d_true.terms
+    assert sp._quotient_table is None
+    tie, _ = combine(sp, _codim2_pencil(sp))
+    assert decompose(tie).tie_breaks
+    assert sp._quotient_table is not None
 
 
 def _full_scan_decompose(c):
@@ -188,6 +219,40 @@ def test_decompose_matches_full_scan_peel(spaces, key, js):
             assert isinstance(got, str) and got.startswith(ref)
         else:
             assert got == ref
+
+
+def test_certified_candidate_matches_full_pencil(spaces):
+    """At every anchor of a seeded corpus, mostly outside the regime, a
+    certified candidate is the full pencil's (count, hyperplane, value) with
+    no tie; both branches run, and `decompose` gives the full path's terms,
+    flags and tie-breaks, which the three hyperplanes of `_codim2_pencil`
+    make non-empty."""
+    certified = fallback = ties = 0
+    for key in [(3, 3, 1), (3, 2, 2), (3, 5, 1), (3, 2, 3), (3, 3, 2), (3, 2, 4),
+                (4, 3, 1), (4, 2, 2)]:
+        sp = spaces(*key)
+        rng = np.random.default_rng(sum(key) + 40)
+        cws = [random_combination(sp, j, rng)[0] for j in (1, 2, 3)]
+        cws.append(combine(sp, _codim2_pencil(sp))[0])
+        for cw in cws:
+            supp = cw.support
+            vals = cw.values[supp]
+            for pos in range(len(supp)):
+                got = _certified_candidate(sp, supp, vals, pos)
+                if got is None:
+                    fallback += 1
+                    continue
+                certified += 1
+                assert got == _best_candidate(*_pencil_counts(sp, supp, vals, pos))
+            try:
+                d = decompose(cw)
+                got = d.terms, d.flags, d.tie_breaks
+                ties += bool(d.tie_breaks)
+            except NoDecompositionError as exc:
+                got = str(exc)
+            ref = _full_scan_decompose(cw)
+            assert got.startswith(ref) if isinstance(ref, str) else got == ref
+    assert certified and fallback and ties
 
 
 @pytest.mark.parametrize("p,h", [(2, 3), (3, 2), (5, 1)])

@@ -6,10 +6,13 @@ suite stays deterministic.
 
 from functools import lru_cache
 
+import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from pgcodes import bounds, combine, decompose, field_make, space_make, weight
+from pgcodes import bounds, combine, decompose, field_make, space_make, verdict, weight
 from pgcodes.ff import MAX_Q, is_irreducible, is_prime
+from pgcodes.minimality import (VERDICT_MINIMAL, VERDICT_NOT_MINIMAL, _best_candidate,
+                                _certified_candidate, _pencil_counts)
 from test_ff import rabin_irreducible
 
 PROPERTY_SETTINGS = dict(derandomize=True, database=None, deadline=None)
@@ -58,6 +61,45 @@ def test_decompose_inverts_combine_in_regime(drawn):
     cw, _ = combine(sp, terms.items())
     assume(not bounds.regime_flags(bounds.context_for(cw), weight=weight(cw)))
     assert decompose(cw).terms == terms
+
+
+@settings(max_examples=100, **PROPERTY_SETTINGS)
+@given(combinations([(3, p, h) for p, h in SMALL_FIELDS] + [(4, 2, 1), (4, 3, 1), (4, 2, 2)], 4),
+       st.data())
+def test_certified_candidate_is_the_full_pencils(drawn, data):
+    """Wherever the certificate holds, at an anchor of a combination with a
+    few points overwritten, it is the full pencil's (count, hyperplane,
+    value), and the full path reports no tie."""
+    sp, terms = drawn
+    values = combine(sp, terms.items())[0].values.copy()
+    points = data.draw(st.lists(st.integers(0, sp.num_points - 1), max_size=3))
+    values[points] = data.draw(st.lists(st.integers(0, sp.field.p - 1),
+                                        min_size=len(points), max_size=len(points)))
+    supp = np.flatnonzero(values)
+    assume(len(supp))
+    pos = data.draw(st.integers(0, len(supp) - 1))
+    got = _certified_candidate(sp, supp, values[supp], pos)
+    if got is not None:
+        assert got == _best_candidate(*_pencil_counts(sp, supp, values[supp], pos))
+
+
+@settings(max_examples=100, **PROPERTY_SETTINGS)
+@given(combinations([(2, p, h) for p, h in SMALL_FIELDS] + [(2, 2, 5), (2, 5, 3)], 6))
+def test_decided_verdict_agrees_with_the_oracle(drawn):
+    """On the decomposition `combine` built, a Minimal verdict has no oracle
+    counterexample and a NotMinimal one has; its witness lies in supp(c)
+    and is no multiple of c.  p^m stays under the oracle cap: 7^6 < 10^8."""
+    sp, terms = drawn
+    cw, d = combine(sp, terms.items())
+    assume(weight(cw))
+    report = verdict(cw, with_oracle=True, decomposition=d)
+    if report.verdict == VERDICT_MINIMAL:
+        assert report.oracle.minimal
+    elif report.verdict == VERDICT_NOT_MINIMAL:
+        assert not report.oracle.minimal
+        w, c, p = report.witness.values, cw.values, sp.field.p
+        assert not np.any(w[c == 0])
+        assert all(np.any(w != lam * c % p) for lam in range(p))
 
 
 @st.composite
