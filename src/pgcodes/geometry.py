@@ -272,6 +272,20 @@ class ProjectiveSpace:
         """Indices of the theta(n-1) hyperplanes through a point (enum order)."""
         return self._orthogonal_indices(self.n, [self._checked_index(int(p), "point")])[0]
 
+    def _pencil_index(self, p: int, t: int) -> int:
+        """pencil_indices(p)[t] without the row: with j the trailing nonzero
+        position of p, the hyperplane whose coordinates off j are point t of
+        PG(n-1, q) and whose coordinate j is sum c_i x_i, c_i = -p_i / p_j,
+        as in `_orthogonal_indices`."""
+        f, n = self.field, self.n
+        a = self.point_table[p]
+        j = n - int(np.argmax(a[::-1] != 0))
+        x = np.insert(self._get_enum(n - 1).table[t], j, 0)
+        c = f.mul_table[a[:j], f.mul_table[f.p - 1, f.inv_table[a[j]]]]
+        for term in f.mul_table[c, x[:j]].tolist():
+            x[j] = f.add(int(x[j]), term)
+        return int(self._enum.index_vectors(x[:, None])[0])
+
     # -- the quotient at a point ------------------------------------------------
 
     def _project(self, anchor: int, others: np.ndarray) -> np.ndarray:

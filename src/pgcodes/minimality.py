@@ -129,21 +129,20 @@ def _histogram(space: ProjectiveSpace, supp: np.ndarray, vals: np.ndarray,
     return np.bincount(codes, minlength=space.theta(space.n - 1) * (p - 1)).reshape(-1, p - 1)
 
 
-def _pencil_counts(space: ProjectiveSpace, supp: np.ndarray, vals: np.ndarray,
-                   anchor_pos: int):
+def _pencil_counts(space: ProjectiveSpace, hist: np.ndarray, anchor: int, anchor_val: int):
     """Counts of same-valued support points on every hyperplane through an anchor.
 
-    The hyperplanes through the anchor supp[anchor_pos] are listed by
-    pencil_indices(anchor), whose position t is a point of the quotient
-    PG(n-1, q).  A support point projecting to y lies on hyperplane t iff
-    t . y = 0, so scattering the `_histogram` through the quotient rows of
-    the nonzero y gives per-hyperplane counts.  At n >= 3 this is the
-    fallback of `_certified_candidate` and the reference it is tested
-    against.  Returns (counts[t, alpha-1], hyperplane index per t).
+    The hyperplanes through the anchor are listed by pencil_indices(anchor),
+    whose position t is a point of the quotient PG(n-1, q).  A support
+    point projecting to y lies on hyperplane t iff t . y = 0, so scattering
+    the anchor's `_histogram` through the quotient rows of the nonzero y
+    gives per-hyperplane counts; the anchor, of value anchor_val, lies on
+    every one.  At n >= 3 this is the fallback of `_certified_candidate`
+    and the reference it is tested against.  Returns (counts[t, alpha-1],
+    hyperplane index per t).
     """
     p = space.field.p
-    cand_idx = space.pencil_indices(int(supp[anchor_pos]))
-    hist = _histogram(space, supp, vals, anchor_pos)
+    cand_idx = space.pencil_indices(anchor)
     ys, alphas = np.nonzero(hist)
     width = space.theta(space.n - 2)
     counts = np.zeros(hist.size, dtype=np.int64)
@@ -151,48 +150,51 @@ def _pencil_counts(space: ProjectiveSpace, supp: np.ndarray, vals: np.ndarray,
         cells = np.multiply(space._quotient_rows(ys[sl]), p - 1, dtype=np.int64) + alphas[sl, None]
         np.add.at(counts, cells.ravel(), np.repeat(hist[ys[sl], alphas[sl]], width))
     counts = counts.reshape(hist.shape)
-    counts[:, int(vals[anchor_pos]) - 1] += 1            # anchor lies on every candidate
+    counts[:, anchor_val - 1] += 1
     return counts, cand_idx
 
 
-def _certified_candidate(space: ProjectiveSpace, supp: np.ndarray, vals: np.ndarray,
-                         anchor_pos: int):
+def _certified_candidate(space: ProjectiveSpace, hist: np.ndarray, anchor: int,
+                         anchor_val: int):
     """`_best_candidate(*_pencil_counts(...))` where a bound proves it is a
     strict maximum, else None; with no scatter and no quotient table.
     Requires n >= 3.
 
     Only the theta(n-2) quotient hyperplanes ts through the point y1 of the
-    heaviest histogram cell are counted, each from its own row.  Let t* be
-    the best of them.  Two hyperplanes of the quotient share theta(n-3)
-    points, so any other t' counts at value beta at most [beta is the
-    anchor's value] plus the top theta(n-3) entries of column beta on
-    row(t*) plus the top theta(n-2) - theta(n-3) off it.  A maximum unique
-    among the counted ts that beats every such bound is the strict maximum
-    of the whole pencil, where `_best_candidate` reports no tie.
+    heaviest histogram cell are counted, each from its own row, in blocks
+    of rows within _CHUNK_ENTRIES gathered entries.  Let t* be the best of
+    them.  Two hyperplanes of the quotient share theta(n-3) points, so any
+    other t' counts at value beta at most [beta is anchor_val] plus the top
+    theta(n-3) entries of column beta on row(t*) plus the top theta(n-2) -
+    theta(n-3) off it.  A maximum unique among the counted ts that beats
+    every such bound is the strict maximum of the whole pencil, where
+    `_best_candidate` reports no tie.
     """
     d = space.n - 1
-    # value-major, so that the sums and sorts below run along the last axis
-    cols = np.ascontiguousarray(_histogram(space, supp, vals, anchor_pos).T)
+    # value-major, so that the sums and sorts below run along the last axis;
+    # a copy, as the bound below zeroes row(t*) in it
+    cols = hist.T.copy()
     y1 = int(np.argmax(cols)) % cols.shape[1]
     ts = space._orthogonal_indices(d, [y1])[0]
-    rows = space._orthogonal_indices(d, ts)
-    a_val = int(vals[anchor_pos]) - 1
-    counts = cols[:, rows].sum(axis=2)                   # counts[alpha-1, i] on ts[i]
-    counts[a_val] += 1
+    counts = np.empty((len(cols), len(ts)), dtype=np.int64)     # counts[alpha-1, i] on ts[i]
+    for sl in _chunk_slices(len(ts), len(cols) * len(ts)):
+        counts[:, sl] = cols[:, space._orthogonal_indices(d, ts[sl])].sum(axis=2)
+    counts[anchor_val - 1] += 1
     best = int(counts.max())
     if np.count_nonzero(counts == best) > 1:
         return None
     alpha, i = np.unravel_index(int(np.argmax(counts)), counts.shape)     # t* = ts[i]
-    on_row = cols[:, rows[i]]
-    cols[:, rows[i]] = 0
+    row = space._orthogonal_indices(d, ts[i:i + 1])[0]
+    on_row = cols[:, row]
+    cols[:, row] = 0
     k_on, k_off = space.theta(d - 2), space.theta(d - 1) - space.theta(d - 2)
     # np.sort: np.partition is several times slower on these small counts
     bound = (np.sort(on_row, axis=1)[:, -k_on:].sum(axis=1)
              + np.sort(cols, axis=1)[:, -k_off:].sum(axis=1))
-    bound[a_val] += 1
+    bound[anchor_val - 1] += 1
     if best <= bound.max():
         return None
-    return best, int(space.pencil_indices(int(supp[anchor_pos]))[ts[i]]), int(alpha) + 1, False
+    return best, space._pencil_index(anchor, int(ts[i])), int(alpha) + 1, False
 
 
 def _best_candidate(counts: np.ndarray, cand_idx: np.ndarray):
@@ -285,9 +287,12 @@ def decompose(c: Codeword) -> Decomposition:
                 "or the input is outside the guaranteed regime)")
         found = False
         for anchor_pos in range(len(supp)):
-            cand = _certified_candidate(space, supp, vals, anchor_pos) if space.n >= 3 else None
+            # one histogram per anchor serves both the certificate and its fallback
+            args = (space, _histogram(space, supp, vals, anchor_pos),
+                    int(supp[anchor_pos]), int(vals[anchor_pos]))
+            cand = _certified_candidate(*args) if space.n >= 3 else None
             if cand is None:
-                cand = _best_candidate(*_pencil_counts(space, supp, vals, anchor_pos))
+                cand = _best_candidate(*_pencil_counts(*args))
             best, hyp, alpha, tie = cand
             if 2 * best > theta_h:
                 if tie:

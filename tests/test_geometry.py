@@ -8,7 +8,7 @@ import pytest
 
 from pgcodes import Codeword, bounds, combine, geometry, incidence_codeword, space_make
 from pgcodes.geometry import DEFAULT_POINT_CAP, _f_matmul
-from pgcodes.minimality import _pencil_counts
+from pgcodes.minimality import _histogram, _pencil_counts
 
 
 def theta(m, q):
@@ -383,11 +383,24 @@ def test_pencil_counts_against_dot_products(spaces, key):
         rng.integers(1, p, size=sp.num_points // 3)
     supp = np.nonzero(residual)[0]
     for anchor_pos in (0, len(supp) - 1, int(rng.integers(len(supp)))):
-        counts, cand_idx = _pencil_counts(sp, supp, residual[supp], anchor_pos)
+        hist = _histogram(sp, supp, residual[supp], anchor_pos)
+        counts, cand_idx = _pencil_counts(sp, hist, int(supp[anchor_pos]), int(residual[supp[anchor_pos]]))
         assert np.array_equal(np.sort(cand_idx), np.sort(sp.pencil_indices(int(supp[anchor_pos]))))
         for t, h in enumerate(cand_idx):
             vals = residual[supp[_dots(sp, supp, h) == 0]]
             assert counts[t].tolist() == [int(np.sum(vals == v)) for v in range(1, p)]
+
+
+@pytest.mark.parametrize("key", PRIMITIVE_SPACES)
+def test_pencil_index_is_the_pencil_row_entry(spaces, key):
+    """_pencil_index(a, t) is entry t of pencil_indices(a), for anchors with
+    every trailing nonzero position."""
+    sp = spaces(*key)
+    anchors = {0, sp.num_points - 1} | {sp.theta(k) for k in range(sp.n)}
+    anchors |= set(np.random.default_rng(73).integers(sp.num_points, size=6).tolist())
+    for a in sorted(anchors):
+        row = sp.pencil_indices(a)
+        assert [sp._pencil_index(a, t) for t in range(len(row))] == row.tolist()
 
 
 def test_point_and_pencil_duality(spaces):

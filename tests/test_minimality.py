@@ -15,7 +15,7 @@ from pgcodes import (AdjacencyWitnessGraph, BoundContext, Codeword, Decompositio
 from pgcodes.minimality import (DEFAULT_ORACLE_CAP, VERDICT_MINIMAL,
                                 VERDICT_NOT_MINIMAL, VERDICT_UNDETERMINED,
                                 NoWitnessError, OracleCapExceededError,
-                                _best_candidate, _certified_candidate,
+                                _best_candidate, _certified_candidate, _histogram,
                                 _is_scalar_multiple, _make_partition,
                                 _merge_components, _on_union, _pencil_counts, _peel,
                                 build_adjacency, build_witness,
@@ -124,6 +124,13 @@ def _codim2_pencil(space):
     return [(int(h), a) for h, a in zip(through[:3], (1, 1, space.field.p - 1))]
 
 
+def _anchor_args(space, supp, vals, anchor_pos):
+    """The arguments of `_pencil_counts` and `_certified_candidate` at the
+    anchor supp[anchor_pos], as `decompose` passes them."""
+    return (space, _histogram(space, supp, vals, anchor_pos),
+            int(supp[anchor_pos]), int(vals[anchor_pos]))
+
+
 def test_certified_peel_leaves_the_quotient_table_unbuilt(fields):
     """In the regime every peel is certified, so `decompose` never builds
     the quotient table; the tie case falls back to the full pencil, which
@@ -138,6 +145,24 @@ def test_certified_peel_leaves_the_quotient_table_unbuilt(fields):
     tie, _ = combine(sp, _codim2_pencil(sp))
     assert decompose(tie).tie_breaks
     assert sp._quotient_table is not None
+
+
+def test_certified_peel_memory_is_not_pencil_squared(fields):
+    """Peeling one hyperplane of PG(5,11) certifies its first anchor from
+    the theta(3) = 1464 quotient hyperplanes through one point.  Their rows
+    gathered over the 10 values in one piece took 1464^2 * 10 int64 entries,
+    171 MB; in blocks the peel stays below 16 MB."""
+    sp = space_make(5, fields(11, 1))
+    cw, d_true = combine(sp, [(sp.num_points // 3, 7)])
+    tracemalloc.start()
+    try:
+        d = decompose(cw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d.terms == d_true.terms
+    assert sp._quotient_table is None
+    assert peak < 16e6
 
 
 def _full_scan_decompose(c):
@@ -166,7 +191,7 @@ def _full_scan_decompose(c):
             return "residual nonzero"
         supp = np.nonzero(residual)[0]
         for anchor_pos in range(len(supp)):
-            counts, cand_idx = _pencil_counts(space, supp, residual[supp], anchor_pos)
+            counts, cand_idx = _pencil_counts(*_anchor_args(space, supp, residual[supp], anchor_pos))
             best, hyp, alpha, tie = _best_candidate(counts, cand_idx)
             if 2 * best > theta_h:
                 break
@@ -224,9 +249,10 @@ def test_decompose_matches_full_scan_peel(spaces, key, js):
 def test_certified_candidate_matches_full_pencil(spaces):
     """At every anchor of a seeded corpus, mostly outside the regime, a
     certified candidate is the full pencil's (count, hyperplane, value) with
-    no tie; both branches run, and `decompose` gives the full path's terms,
-    flags and tie-breaks, which the three hyperplanes of `_codim2_pencil`
-    make non-empty."""
+    no tie, the full pencil reading the same histogram after it as in
+    `decompose`; both branches run, and `decompose` gives the full path's
+    terms, flags and tie-breaks, which the three hyperplanes of
+    `_codim2_pencil` make non-empty."""
     certified = fallback = ties = 0
     for key in [(3, 3, 1), (3, 2, 2), (3, 5, 1), (3, 2, 3), (3, 3, 2), (3, 2, 4),
                 (4, 3, 1), (4, 2, 2)]:
@@ -238,12 +264,13 @@ def test_certified_candidate_matches_full_pencil(spaces):
             supp = cw.support
             vals = cw.values[supp]
             for pos in range(len(supp)):
-                got = _certified_candidate(sp, supp, vals, pos)
+                args = _anchor_args(sp, supp, vals, pos)
+                got = _certified_candidate(*args)
                 if got is None:
                     fallback += 1
                     continue
                 certified += 1
-                assert got == _best_candidate(*_pencil_counts(sp, supp, vals, pos))
+                assert got == _best_candidate(*_pencil_counts(*args))
             try:
                 d = decompose(cw)
                 got = d.terms, d.flags, d.tie_breaks

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 from pgcodes import bounds, combine, decompose, field_make, space_make, verdict, weight
 from pgcodes.ff import MAX_Q, is_irreducible, is_prime
 from pgcodes.minimality import (VERDICT_MINIMAL, VERDICT_NOT_MINIMAL, _best_candidate,
-                                _certified_candidate, _pencil_counts)
+                                _certified_candidate, _histogram, _pencil_counts)
 from test_ff import rabin_irreducible
 
 PROPERTY_SETTINGS = dict(derandomize=True, database=None, deadline=None)
@@ -78,9 +78,10 @@ def test_certified_candidate_is_the_full_pencils(drawn, data):
     supp = np.flatnonzero(values)
     assume(len(supp))
     pos = data.draw(st.integers(0, len(supp) - 1))
-    got = _certified_candidate(sp, supp, values[supp], pos)
+    args = (sp, _histogram(sp, supp, values[supp], pos), int(supp[pos]), int(values[supp[pos]]))
+    got = _certified_candidate(*args)
     if got is not None:
-        assert got == _best_candidate(*_pencil_counts(sp, supp, values[supp], pos))
+        assert got == _best_candidate(*_pencil_counts(*args))
 
 
 @settings(max_examples=100, **PROPERTY_SETTINGS)
