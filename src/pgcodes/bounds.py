@@ -21,10 +21,24 @@ import numpy as np
 
 from .ff import is_prime
 from .codes import Codeword, restricted_weight
-from .geometry import _CHUNK_ENTRIES, SubspacePointSet, _affine_digits, theta
+from .geometry import _CHUNK_ENTRIES, SubspacePointSet, _affine_digits, _f_matmul, theta
 
 # `secant_spectrum` refuses a space with more lines than this by default
 SPECTRUM_LINE_CAP = 50_000_000
+# The term path of `secant_spectrum` walks the theta(n-1) lines through W
+# points, m (line, term) entries a line; the point scan keys wt points by
+# theta(n-1) directions.  The term path runs where _TERM_COST W m <= wt.
+# Measured once on 2 vCPUs over 65 random combinations in PG(2,q) for
+# q = 49, 64, 125 and 2048, PG(3,16), PG(3,64) and PG(4,8), the two paths
+# break even where wt / (W m) is 6-9 wherever the walks dominate, 3-7 at
+# PG(2,2048), and 14-37 for m <= 4 in the planes up to q = 125, where the
+# term path's fixed cost, about 0.15 ms, dominates.  At 16 a large case
+# that takes the term path runs in about half the scan's time or less, and
+# a small plane case that takes it loses at most about 0.15 ms.
+_TERM_COST = 16
+# (line, term) entries per block of the term path: at the scan's 2^18, the
+# traced peak of a PG(3,64) term spectrum with m = 4 went 0.6 -> 10 MB
+_TERM_BLOCK_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -121,7 +135,8 @@ def classify(c: Codeword, sub: SubspacePointSet) -> Classification:
 @dataclass(frozen=True)
 class SecantSpectrum:
     """Histogram of |line & supp(c)| over every line of the space; only
-    sizes met by at least one line are keys."""
+    sizes met by at least one line are keys.  The term path and the point
+    scan of `secant_spectrum` give the same histogram."""
 
     histogram: dict[int, int]
     total_lines: int
@@ -224,12 +239,153 @@ def _line_counts(sp, dim: int, supp: np.ndarray, threads: int) -> np.ndarray:
     return hist + _line_counts(sp, dim - 1, at_inf, threads)
 
 
+def _term_counts(c: Codeword) -> Optional[np.ndarray]:
+    """hist[s] = number of lines of PG(n, q) that meet the support of
+    c = sum a_i [H_i] in s points, from its m terms (H_i, a_i) alone, with
+    hist[0] not filled; None where _TERM_COST W m > wt, W the walks below:
+    the point scan then costs less.
+
+    A line l meets each H_i in one point or lies in it.  With A the sum of
+    the a_i of the H_i that hold l, d the number of distinct points where
+    the others meet l, and s(P) the sum of the a_i meeting l at P,
+    |l & supp c| = (q + 1 - d) [A != 0] + #{P : A + s(P) != 0}.  With
+    m >= 2, let U be the points on two or more H_i.  A line that misses U
+    lies in no H_i and meets them in m distinct points, so it counts m.
+    Every other line is some XY with X in U and Y on x_j = 0, j the leading
+    position of X.  Its points are X + tY for t in GF(q) and Y, and H_i
+    meets it at t = -(H_i.X)/(H_i.Y); at Y where only H_i.Y is 0, and
+    nowhere (it holds l) where both are.  The line is reached once from each
+    of its k = |l & U| points: q + 1 when two or more H_i hold it, d when
+    one does, and otherwise the number of points where two or more H_i meet
+    it.  So each (count, k) tally divides by k exactly, and no line needs an
+    ownership test.
+
+    Points X of U with the same leading position, the same H_i through them
+    and at most one H_i off them see the same (count, k) on XY for every Y:
+    that one H_i meets XY at a point of no other term.  One walk of the
+    theta(n-1) lines through X stands for all of them; every other X is
+    walked on its own.
+    """
+    sp, terms, wt = c.space, c._terms, len(c.support)
+    f, n, q, p = sp.field, sp.n, sp.q, sp.field.p
+    m = len(terms)
+    hist = np.zeros(q + 2, dtype=np.int64)
+    if m == 0:
+        return hist
+    if m == 1:
+        t = sp.theta(n - 1)
+        hist[q + 1] = t * (t - 1) // ((q + 1) * q)       # the lines of the hyperplane
+        hist[1] = sp.line_count() - hist[q + 1]
+        return hist
+    multiple, mult = c._multiple_points()
+    # a point of U off two or more terms is a walk of its own
+    if _TERM_COST * int((mult <= m - 2).sum()) * m > wt:
+        return None
+    duals = sp.hyperplane_table[[h for h, _ in terms]]
+    xs = sp.point_table[multiple]
+    lead = (xs != 0).argmax(axis=1)
+    neg_u = f.mul_table[p - 1][_f_matmul(f, xs, duals.T)]         # -H_i.X, -1 = p - 1
+    off = m - (neg_u == 0).sum(axis=1)
+    walks = {}                  # (leading position, X walked for) -> positions in U
+    for x in np.flatnonzero(off > 1).tolist():
+        walks.setdefault((int(lead[x]), 1), []).append(x)
+    shared = np.flatnonzero(off <= 1)
+    # a shared X's group: its leading position and its term off X, m if none
+    group = lead[shared] * (m + 1) + np.where(off[shared] == 0, m,
+                                              (neg_u[shared] != 0).argmax(axis=1))
+    keys, first, sizes = np.unique(group, return_index=True, return_counts=True)
+    for key, x, size in zip(keys.tolist(), shared[first].tolist(), sizes.tolist()):
+        walks.setdefault((key // (m + 1), size), []).append(x)
+    if _TERM_COST * sum(map(len, walks.values())) * m > wt:
+        return None
+
+    coefs = np.array([a for _, a in terms], dtype=np.int32)
+    bits = p.bit_length()                       # a key is par << bits | a
+    ys = sp._get_enum(n - 1).table
+    width = len(ys)
+    step_x = max(1, _TERM_BLOCK_ENTRIES // (width * m))
+    pieces = -(-width * m // _TERM_BLOCK_ENTRIES)
+    step_y = -(-width // pieces)                # the Ys in equal pieces
+    tables = {}
+    reached_often = {}          # k * (q + 2) + count -> reaches of the lines with k > 1
+    for (j, weight), positions in walks.items():
+        if j not in tables:
+            v = _f_matmul(f, ys, np.delete(duals, j, axis=1).T)   # H_i.Y, Y_j = 0 dropped
+            tables[j] = f.inv_table[v], v == 0
+        inv_v, v_zero = tables[j]
+        for x0 in range(0, len(positions), step_x):
+            nu = neg_u[positions[x0:x0 + step_x], None, :]
+            for y0 in range(0, width, step_y):
+                ysl = slice(y0, y0 + step_y)
+                t = f.mul_table[nu, inv_v[None, ysl]]
+                # q marks the meeting point Y, q + 1 a hyperplane holding the line
+                par = np.where(v_zero[None, ysl], q + (nu == 0), t).reshape(-1, m)
+                _tally(np.sort((par.astype(np.int32) << bits) + coefs, axis=1),
+                       q, p, bits, weight, hist, reached_often)
+    for key, reached in reached_often.items():
+        k, s = divmod(key, q + 2)
+        hist[s] += reached // k
+    missing = sp.line_count() - int(hist.sum())
+    if missing:
+        hist[m] += missing
+    return hist
+
+
+def _tally(keys: np.ndarray, q: int, p: int, bits: int, weight: int,
+           hist: np.ndarray, reached_often: dict):
+    """Count the lines of one block, each `weight` times: into hist where
+    the line has one point in U, and into reached_often by (k, count)
+    otherwise.
+
+    Row r of keys holds line r's m entries par << bits | a, sorted, with par
+    the meeting parameter and q + 1 for a hyperplane holding the line, so
+    those come last.  The columns are walked once, closing each run of
+    equal par: every run but a last held one is a meeting point.
+    """
+    lines, m = keys.shape
+    cols = keys.T.copy()
+    par = cols >> bits
+    a = cols & ((1 << bits) - 1)
+    # read at A plus a run's sum: the last run may be the held one, so up to 2m terms
+    nonzero = np.arange(2 * m * p) % p != 0
+    held = par == q + 1
+    held_by = held.sum(axis=0)
+    big_a = np.where(held, a, 0).sum(axis=0)
+    d = np.zeros(lines, dtype=np.int32)
+    count = np.zeros(lines, dtype=np.int32)
+    doubles = np.zeros(lines, dtype=np.int32)         # meeting points of two or more
+    run_sum = a[0].copy()
+    longer = np.zeros(lines, dtype=bool)
+    for j in range(1, m + 1):
+        end = par[j] != par[j - 1] if j < m else held_by == 0
+        d += end
+        count += end & nonzero[big_a + run_sum]
+        doubles += end & longer
+        if j < m:
+            longer = ~end
+            run_sum[end] = 0
+            run_sum += a[j]
+    count += np.where(nonzero[big_a], q + 1 - d, 0)
+    k = np.where(held_by > 1, q + 1, np.where(held_by == 1, d, doubles))
+    one = k == 1
+    hist += weight * np.bincount(count[one], minlength=q + 2)
+    if not one.all():
+        keys, reached = np.unique(k[~one] * (q + 2) + count[~one], return_counts=True)
+        for key, r in zip(keys.tolist(), reached.tolist()):
+            reached_often[key] = reached_often.get(key, 0) + weight * r
+
+
 def secant_spectrum(c: Codeword, max_lines: Optional[int] = None,
                     threads: int = 1) -> SecantSpectrum:
     """Exact histogram of line-support intersection sizes over all lines.
 
-    The direction blocks of each level are split over at most `threads`
-    threads (>= 1).
+    The line cap is checked first.  A codeword that carries its terms
+    (built by `combine`, `partial_combination` or `incidence_codeword`) is
+    counted from them where _TERM_COST W m <= wt (`_term_counts`), in the
+    calling thread, in blocks of at most _TERM_BLOCK_ENTRIES (line, term)
+    entries.  Otherwise the point scan keys every support point by every
+    direction, and the direction blocks of each level are split over at
+    most `threads` threads (>= 1).
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -238,7 +394,11 @@ def secant_spectrum(c: Codeword, max_lines: Optional[int] = None,
     cap = max_lines if max_lines is not None else SPECTRUM_LINE_CAP
     if total > cap:
         raise ValueError(f"line count {total} exceeds the cap of {cap}")
-    counts = _line_counts(sp, sp.n, c.support, threads)
+    counts = None
+    if c._terms is not None:
+        counts = _term_counts(c)
+    if counts is None:
+        counts = _line_counts(sp, sp.n, c.support, threads)
     hist = {s: int(k) for s, k in enumerate(counts) if s and k}
     covered = sum(hist.values())
     if covered < total:

@@ -320,6 +320,9 @@ def _suite_secants(args) -> list[tuple[str, callable]]:
             cw, _ = minimality.random_combination(space, j, rng)
             spec = bounds.secant_spectrum(cw, max_lines=args.cap_lines,
                                           threads=args.threads)
+            scan = bounds.secant_spectrum(codes.Codeword(space, cw.values),
+                                          max_lines=args.cap_lines, threads=args.threads)
+            assert spec.histogram == scan.histogram, "term spectrum differs from the point scan"
             for s in spec.histogram:
                 assert not (dn + 1 <= s <= space.q - dn + 1), f"{s}-secant in gap"
                 assert s <= w1 or s >= u1, f"{s}-secant neither thin nor thick"
@@ -403,7 +406,7 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _thread_count(text: str) -> int:
+def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
@@ -415,7 +418,7 @@ def _thread_count(text: str) -> int:
 
 # each subcommand declares the options it reads, by name
 _OPTIONS = {
-    "--threads": dict(type=_thread_count, default=1),
+    "--threads": dict(type=_positive_int, default=1),
     "--cap-points": dict(type=int, default=None),
     "--cap-lines": dict(type=int, default=None,
                         help="refuse a secant spectrum of a space with more lines "
@@ -459,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("suite", choices=["bounds", "secants", "roundtrip",
                                      "minimality", "all"])
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--trials", type=int, default=20)
+    v.add_argument("--trials", type=_positive_int, default=20)
     v.add_argument("--n", type=int, default=2)
     v.add_argument("--p", type=int, default=2)
     v.add_argument("--h", type=int, default=5)

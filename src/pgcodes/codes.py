@@ -8,7 +8,7 @@ which hyperplanes carry nonzero coefficients in a `Decomposition`.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -29,9 +29,17 @@ def _residues(values, p: int) -> np.ndarray:
 
 class Codeword:
     """Immutable vector of canonical F_p residues indexed by point index,
-    with its sorted, read-only support."""
+    with its sorted, read-only support.
 
-    __slots__ = ("space", "values", "_support")
+    A codeword built by `combine`, `partial_combination` or
+    `incidence_codeword` also carries its terms in `_terms`: a tuple of
+    (hyperplane, coefficient) pairs with distinct hyperplanes and nonzero
+    coefficients, which `secant_spectrum` reads, with the points on two or
+    more of them.  A codeword built from values, `+`, `-` and `scaled` among
+    them, carries None.  Equality and `to_json` read the values alone.
+    """
+
+    __slots__ = ("space", "values", "_support", "_terms", "_repeats")
 
     def __init__(self, space: ProjectiveSpace, values: np.ndarray):
         if len(values) != space.num_points:
@@ -41,16 +49,20 @@ class Codeword:
         self.space = space
         self.values = vals
         self._support = None
+        self._terms = self._repeats = None
 
     @classmethod
     def _with_support(cls, space: ProjectiveSpace, values: np.ndarray,
-                      supp: np.ndarray) -> "Codeword":
-        """A codeword from values already in [0, p) and their sorted support,
-        both built by this package; neither is checked or copied."""
+                      supp: np.ndarray, terms: Optional[tuple] = None,
+                      repeats: Optional[np.ndarray] = None) -> "Codeword":
+        """A codeword from values already in [0, p), their sorted support and,
+        if known, the terms they sum and the repeats of their sorted rows,
+        all built by this package; none is checked or copied."""
         cw = cls.__new__(cls)
         values.setflags(write=False)
         supp.setflags(write=False)
         cw.space, cw.values, cw._support = space, values, supp
+        cw._terms, cw._repeats = terms, repeats
         return cw
 
     @property
@@ -61,6 +73,20 @@ class Codeword:
             supp.setflags(write=False)
             self._support = supp
         return self._support
+
+    def _multiple_points(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sorted points on two or more of the term hyperplanes, and how
+        many terms each lies on.  They come from the repeats of the sorted
+        term rows: kept by `combine` from its own sort, or found once from
+        the rows.  Needs `_terms`."""
+        if self._repeats is None:
+            sp = self.space
+            rows = np.sort(sp._orthogonal_indices(sp.n, [h for h, _ in self._terms]).ravel())
+            self._repeats = rows[1:][rows[1:] == rows[:-1]]
+        first = np.ones(len(self._repeats), dtype=bool)
+        first[1:] = self._repeats[1:] != self._repeats[:-1]
+        starts = np.flatnonzero(first)
+        return self._repeats[starts], np.diff(starts, append=len(self._repeats)) + 1
 
     def __eq__(self, other):
         return (isinstance(other, Codeword) and self.space is other.space
@@ -195,9 +221,7 @@ class Decomposition:
 
 def incidence_codeword(space: ProjectiveSpace, h: int) -> Codeword:
     """Characteristic vector of a hyperplane: 1 on its points, 0 elsewhere."""
-    vals = np.zeros(space.num_points, dtype=np.int16)
-    vals[space.hyperplane_point_indices(h)] = 1
-    return Codeword(space, vals)
+    return _accumulate(space, {h: 1})
 
 
 def combine(space: ProjectiveSpace, terms: Iterable[tuple[int, int]]
@@ -222,20 +246,24 @@ def combine(space: ProjectiveSpace, terms: Iterable[tuple[int, int]]
 def _accumulate(space: ProjectiveSpace, terms: dict[int, int]) -> Codeword:
     """The codeword sum coef * [hyperplane], with int16 values reduced mod p
     term by term and the term rows taken from the primitive in
-    `_chunk_slices` blocks.
+    `_chunk_slices` blocks.  The codeword carries the terms, whose
+    coefficients the caller keeps nonzero mod p.
 
     Each partial sum stays below 2p, so no dense int64 vector is needed: at
     PG(3,125) one costs 15.7 MB, and the freed temporaries left the peak RSS
     of a short run depending on where the allocator happened to place them.
     The support comes from the term rows: sorted, their repeats dropped by a
-    neighbour mask, and kept where the value is nonzero.  Rows holding more
-    entries than there are points are not kept; one scan of the values is
-    then cheaper than the sort, and memory stays at theta(n) entries.
+    neighbour mask, and kept where the value is nonzero; the codeword keeps
+    the repeats, which name the points on two or more terms.  Rows
+    holding more entries than there are points are not kept; one scan of
+    the values is then cheaper than the sort, and memory stays at theta(n)
+    entries.
     """
     p = space.field.p
     vals = np.zeros(space.num_points, dtype=np.int16)
     keys = [space._checked_index(int(h), "hyperplane") for h in terms]
     coefs = [int(c) % p for c in terms.values()]
+    pairs = tuple(zip(keys, coefs))
     row_len = space.theta(space.n - 1)
     keep = len(keys) * row_len <= space.num_points
     rows = []
@@ -246,12 +274,13 @@ def _accumulate(space: ProjectiveSpace, terms: dict[int, int]) -> Codeword:
         if keep:
             rows.append(block.ravel())
     if not keep:
-        return Codeword._with_support(space, vals, np.flatnonzero(vals))
+        return Codeword._with_support(space, vals, np.flatnonzero(vals), pairs)
     touched = np.sort(np.concatenate(rows)) if rows else np.zeros(0, dtype=np.int64)
     first = np.ones(len(touched), dtype=bool)
     first[1:] = touched[1:] != touched[:-1]
+    repeats = touched[~first]
     touched = touched[first]
-    return Codeword._with_support(space, vals, touched[vals[touched] != 0])
+    return Codeword._with_support(space, vals, touched[vals[touched] != 0], pairs, repeats)
 
 
 def weight(c: Codeword) -> int:

@@ -1,18 +1,19 @@
 """Bound functions, thin/thick classification, and secant spectra."""
 
 import math
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from pgcodes import (BoundContext, Classification, classify, combine, delta,
+from pgcodes import (BoundContext, Classification, Codeword, classify, combine, delta,
                      incidence_codeword, max_thin_secant, secant_spectrum,
                      theta, thick_bound_U, weight, weight_bound_W)
 from pgcodes import bounds
 from pgcodes.bounds import _block_ranges, context_for, regime_flags
-from pgcodes.minimality import random_combination, verdict
+from pgcodes.minimality import random_combination, szonyi_example, verdict
 
 
 def test_theta_conventions():
@@ -271,6 +272,161 @@ def test_spectrum_threads_are_bounded(spaces, monkeypatch):
     assert _block_ranges(10, 1) == [(0, 10)]
     monkeypatch.setattr(bounds.os, "cpu_count", lambda: None)
     assert _block_ranges(10, 3) == [(0, 10)]
+
+
+# ---------------------------------------------------------------------------
+# secant spectra from the terms
+# ---------------------------------------------------------------------------
+
+def _dispatch(monkeypatch):
+    """Tallies, as `secant_spectrum` runs, of the spectra the term path
+    answered ("term") or declined ("declined"), and of the point scans."""
+    ran = Counter()
+    term_counts, line_counts = bounds._term_counts, bounds._line_counts
+
+    def term(c):
+        counts = term_counts(c)
+        ran["term" if counts is not None else "declined"] += 1
+        return counts
+
+    def scan(sp, dim, supp, threads):
+        ran["scan"] += dim == sp.n                 # not the levels at infinity
+        return line_counts(sp, dim, supp, threads)
+
+    monkeypatch.setattr(bounds, "_term_counts", term)
+    monkeypatch.setattr(bounds, "_line_counts", scan)
+    return ran
+
+
+def _flat_pencil(sp):
+    """The q + 1 hyperplanes through the codimension-2 space shared by the
+    two lowest hyperplanes through point 0."""
+    h1, h2 = np.sort(sp.pencil_indices(0))[:2]
+    flat = np.intersect1d(sp.hyperplane_point_indices(h1), sp.hyperplane_point_indices(h2))
+    through = sp.pencil_indices(int(flat[0]))
+    for x in flat[1:]:
+        through = np.intersect1d(through, sp.pencil_indices(int(x)))
+    assert len(through) == sp.q + 1
+    return through.tolist()
+
+
+def _term_corpus(sp, rng):
+    """Combinations with terms: m = 0 (nothing, and two terms that cancel),
+    m = 1 (an indicator and a multiple), duplicates that `combine` merges or
+    drops, 2, 3 and q + 1 hyperplanes on one codimension-2 flat with
+    coefficients 1 and with coefficients that sum to 0 there (A = 0 on the
+    lines of the flat), each with 0-2 further terms, and random combinations
+    of 2-5 and of q + 3 > q + 1 terms."""
+    p, q, top = sp.field.p, sp.q, sp.num_hyperplanes
+    h = [int(x) for x in rng.choice(top, size=4, replace=False)]
+    out = [combine(sp, [])[0], combine(sp, [(h[0], 1), (h[0], p - 1)])[0],
+           incidence_codeword(sp, h[1]), combine(sp, [(h[2], p - 1)])[0],
+           combine(sp, [(h[0], 1), (h[0], p - 1), (h[1], 1), (h[1], 1), (h[2], 1), (h[3], 1)])[0]]
+    pencil = _flat_pencil(sp)
+    for k in (2, 3, len(pencil)):
+        cancelling = [[a] + [1] * (k - 2) + [-(a + k - 2) % p] for a in range(1, p)
+                      if (a + k - 2) % p]
+        for coefs in [[1] * k] + cancelling[:1]:
+            for extra in range(3):
+                more = rng.choice(top, size=extra, replace=False).tolist()
+                out.append(combine(sp, list(zip(pencil[:k], coefs)) + [(x, 1) for x in more])[0])
+    for m in (2, 3, 4, 5, q + 3):
+        out.append(random_combination(sp, m, rng)[0])
+    return out
+
+
+def test_term_spectrum_matches_point_scan(spaces, monkeypatch):
+    """The term path, taken for every codeword, gives the point scan's
+    histogram on a copy built from the values, over the corpus of
+    `_term_corpus` in the planes of order 2, 3, 4, 7 and 9, PG(3,2),
+    PG(3,3), PG(3,4) and PG(4,3), and on the seven-line fixture at q = 7,
+    25 and 125."""
+    monkeypatch.setattr(bounds, "_TERM_COST", 0)
+    ran = _dispatch(monkeypatch)
+    rng = np.random.default_rng(25)
+    cws = []
+    for key in ((2, 2, 1), (2, 3, 1), (2, 2, 2), (2, 7, 1), (2, 3, 2),
+                (3, 2, 1), (3, 3, 1), (3, 2, 2), (4, 3, 1)):
+        cws += _term_corpus(spaces(*key), rng)
+    cws += [szonyi_example(spaces(*key))[0] for key in ((2, 7, 1), (2, 5, 2), (2, 5, 3))]
+    ms = Counter(len(cw._terms) for cw in cws)
+    assert ms[0] and ms[1] and max(ms) > 10
+    for i, cw in enumerate(cws):
+        sp = cw.space
+        scan = secant_spectrum(Codeword(sp, cw.values)).histogram
+        assert secant_spectrum(cw).histogram == scan, i
+        if len(cw._terms) > sp.q + 1:
+            assert len(cw._terms) not in scan
+    assert ran == {"term": len(cws), "scan": len(cws)}
+
+
+def test_spectrum_dispatch_takes_both_paths(spaces, monkeypatch):
+    """At the measured cost constant, few terms against a large weight take
+    the term path and many the scan, with the scan's histograms: PG(2,125)
+    with 1-8 lines and the seven-line fixture, PG(3,8) with 1-4 planes."""
+    ran = _dispatch(monkeypatch)
+    rng = np.random.default_rng(26)
+    cws = [szonyi_example(spaces(2, 5, 3))[0]]
+    cws += [random_combination(spaces(2, 5, 3), m, rng)[0] for m in range(1, 9)]
+    cws += [random_combination(spaces(3, 2, 3), m, rng)[0] for m in range(1, 5)]
+    for i, cw in enumerate(cws):
+        scan = secant_spectrum(Codeword(cw.space, cw.values)).histogram
+        assert secant_spectrum(cw).histogram == scan, i
+    assert ran["term"] >= 4 and ran["declined"] >= 4
+    assert ran["term"] + ran["declined"] == len(cws)
+    assert ran["scan"] == len(cws) + ran["declined"]
+
+
+def test_sums_and_multiples_carry_no_terms(spaces, monkeypatch):
+    """`+`, `-` and `scaled` build from values, so they carry no terms and
+    take the point scan, which gives the term path's histogram of the same
+    codeword built by `combine`."""
+    monkeypatch.setattr(bounds, "_TERM_COST", 0)
+    ran = _dispatch(monkeypatch)
+    sp = spaces(3, 3, 1)
+    h1, h2, h3 = 5, 17, 30
+    a, _ = combine(sp, [(h1, 1), (h2, 2)])
+    b, _ = combine(sp, [(h3, 1)])
+    pairs = [(a + b, combine(sp, [(h1, 1), (h2, 2), (h3, 1)])[0]),
+             (a - b, combine(sp, [(h1, 1), (h2, 2), (h3, 2)])[0]),
+             (a.scaled(2), combine(sp, [(h1, 2), (h2, 1)])[0])]
+    for built, combined in pairs:
+        assert built._terms is None and combined._terms is not None
+        assert built == combined
+        assert secant_spectrum(built).histogram == secant_spectrum(combined).histogram
+    assert ran == {"scan": 3, "term": 3}
+
+
+def test_term_spectrum_memory_stays_in_blocks(spaces, monkeypatch):
+    """Four planes of PG(3,64): about 380 points of U, nearly all walked
+    alone over their 4161 lines, some 6.3e6 (line, term) entries.  Blocks of
+    2^14 entries keep the traced peak below 2 MB; blocks of 2^18 reached
+    10 MB, and the point scan of the same codeword 3.7 MB."""
+    monkeypatch.setattr(bounds, "_TERM_COST", 0)
+    ran = _dispatch(monkeypatch)
+    sp = spaces(3, 2, 6)
+    cw, _ = random_combination(sp, 4, np.random.default_rng(601))
+    tracemalloc.start()
+    try:
+        secant_spectrum(cw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ran == {"term": 1}
+    assert peak < 2e6
+
+
+def test_line_cap_comes_before_the_term_path(spaces, monkeypatch):
+    """PG(3,125) has 246 million lines, over the default cap: two planes
+    are refused with the scan's message, and no term work is done."""
+    ran = _dispatch(monkeypatch)
+    sp = spaces(3, 5, 3)
+    cw, _ = combine(sp, [(3, 1), (40000, 2)])
+    message = f"line count {sp.line_count()} exceeds the cap of {bounds.SPECTRUM_LINE_CAP}"
+    for c in (cw, Codeword(sp, cw.values)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            secant_spectrum(c)
+    assert not ran
 
 
 def test_secant_gap_and_dichotomy_q32(spaces):

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from pgcodes import cli, p2_fixtures, szonyi_example, weight
+from pgcodes import bounds, cli, p2_fixtures, szonyi_example, weight
 from pgcodes.cli import main
 from pgcodes.minimality import random_combination
 
@@ -288,6 +288,9 @@ def test_threads_below_one_is_an_error(tmp_path, capsys):
     ["geom-info", "2", "5", "3", "--threads", "3"],
     ["verify", "bounds", "--out", "report.json"],
     ["fixture", "szonyi", "--no-regime-exit"],
+    ["verify", "secants", "--trials", "-3"],
+    ["verify", "secants", "--trials", "0"],
+    ["verify", "minimality", "--trials", "-1"],
 ])
 def test_usage_errors_exit_one(tmp_path, monkeypatch, capsys, argv):
     """A usage error, an option the subcommand does not take among them,
@@ -440,6 +443,30 @@ def test_verify_suites_pass(capsys):
     rc2, out2 = _run(capsys, ["verify", "roundtrip", "--n", "2", "--p", "2",
                               "--h", "5", "--trials", "5", "--seed", "3"])
     assert rc2 == 0
+
+
+def test_verify_secants_checks_the_term_spectrum_against_the_point_scan(capsys, monkeypatch):
+    """Each trial's spectrum, taken from its terms, meets the point scan of
+    a copy built from its values.  Passing, the suite prints its one PASS
+    line and OK; a term spectrum that is off by one line fails it."""
+    argv = ["verify", "secants", "--trials", "4"]
+    rc, out = _run(capsys, argv)
+    assert rc == 0
+    lines = out.splitlines()
+    assert len(lines) == 2 and lines[0].startswith("PASS secants:secant-gap-and-dichotomy [")
+    assert lines[1] == "OK"
+    real = bounds._term_counts
+
+    def off_by_one(c):
+        counts = real(c)
+        if counts is not None:
+            counts[1] += 1
+        return counts
+
+    monkeypatch.setattr(bounds, "_term_counts", off_by_one)
+    rc, out = _run(capsys, argv)
+    assert rc == 1
+    assert out.splitlines()[0].endswith("(term spectrum differs from the point scan)")
 
 
 def test_missing_spec_file_errors(tmp_path, capsys):

@@ -7,7 +7,7 @@ suite stays deterministic.
 from functools import lru_cache
 
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from pgcodes import bounds, combine, decompose, field_make, space_make, verdict, weight
 from pgcodes.ff import MAX_Q, is_irreducible, is_prime
@@ -51,6 +51,23 @@ def test_spectrum_counts_lines_incidences_and_pairs(drawn):
     assert sum(hist.values()) == sp.line_count()
     assert sum(s * k for s, k in hist.items()) == wt * sp.theta(sp.n - 1)
     assert sum(s * (s - 1) * k for s, k in hist.items()) == wt * (wt - 1)
+
+
+@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture],
+          **PROPERTY_SETTINGS)
+@given(combinations([(n, p, h) for n in (2, 3) for p, h in SMALL_FIELDS]
+                    + [(4, 2, 1), (4, 3, 1)], 8))
+def test_term_spectrum_is_the_point_scans(monkeypatch, drawn):
+    """The spectrum a combination's terms give, with no cost test, is the
+    point scan's of its values, hist[0] aside, which both leave to
+    subtraction.  The monkeypatch only sets the cost constant to 0, the
+    same for every example."""
+    monkeypatch.setattr(bounds, "_TERM_COST", 0)
+    sp, terms = drawn
+    cw, _ = combine(sp, terms.items())
+    counts = bounds._term_counts(cw)
+    scan = bounds._line_counts(sp, sp.n, cw.support, threads=1)
+    assert np.array_equal(counts[1:], scan[1:])
 
 
 @settings(max_examples=100, **PROPERTY_SETTINGS)
