@@ -32,9 +32,9 @@ SPECTRUM_LINE_CAP = 50_000_000
 # q = 49, 64, 125 and 2048, PG(3,16), PG(3,64) and PG(4,8), the two paths
 # break even where wt / (W m) is 6-9 wherever the walks dominate, 3-7 at
 # PG(2,2048), and 14-37 for m <= 4 in the planes up to q = 125, where the
-# term path's fixed cost, about 0.15 ms, dominates.  At 16 a large case
+# term path's fixed cost, about 0.17 ms, dominates.  At 16 a large case
 # that takes the term path runs in about half the scan's time or less, and
-# a small plane case that takes it loses at most about 0.15 ms.
+# a small plane case that takes it loses at most about 0.1 ms.
 _TERM_COST = 16
 # (line, term) entries per block of the term path: at the scan's 2^18, the
 # traced peak of a PG(3,64) term spectrum with m = 4 went 0.6 -> 10 MB
@@ -243,7 +243,9 @@ def _term_counts(c: Codeword) -> Optional[np.ndarray]:
     """hist[s] = number of lines of PG(n, q) that meet the support of
     c = sum a_i [H_i] in s points, from its m terms (H_i, a_i) alone, with
     hist[0] not filled; None where _TERM_COST W m > wt, W the walks below:
-    the point scan then costs less.
+    the point scan then costs less.  Also None, before any work, where the
+    m theta(n-1) term rows that give U hold more than _CHUNK_ENTRIES
+    entries: they are sorted in one piece, and the scan keeps to blocks.
 
     A line l meets each H_i in one point or lies in it.  With A the sum of
     the a_i of the H_i that hold l, d the number of distinct points where
@@ -277,7 +279,12 @@ def _term_counts(c: Codeword) -> Optional[np.ndarray]:
         hist[q + 1] = t * (t - 1) // ((q + 1) * q)       # the lines of the hyperplane
         hist[1] = sp.line_count() - hist[q + 1]
         return hist
-    multiple, mult = c._multiple_points()
+    if m * sp.theta(n - 1) > _CHUNK_ENTRIES:
+        return None
+    # U: the repeats of the sorted term rows, with the number of terms through each
+    rows = np.sort(sp._orthogonal_indices(n, [h for h, _ in terms]).ravel())
+    multiple, mult = np.unique(rows[1:][rows[1:] == rows[:-1]], return_counts=True)
+    mult += 1
     # a point of U off two or more terms is a walk of its own
     if _TERM_COST * int((mult <= m - 2).sum()) * m > wt:
         return None

@@ -34,12 +34,12 @@ class Codeword:
     A codeword built by `combine`, `partial_combination` or
     `incidence_codeword` also carries its terms in `_terms`: a tuple of
     (hyperplane, coefficient) pairs with distinct hyperplanes and nonzero
-    coefficients, which `secant_spectrum` reads, with the points on two or
-    more of them.  A codeword built from values, `+`, `-` and `scaled` among
-    them, carries None.  Equality and `to_json` read the values alone.
+    coefficients, which `secant_spectrum` reads.  A codeword built from
+    values, `+`, `-` and `scaled` among them, carries None.  Equality and
+    `to_json` read the values alone.
     """
 
-    __slots__ = ("space", "values", "_support", "_terms", "_repeats")
+    __slots__ = ("space", "values", "_support", "_terms")
 
     def __init__(self, space: ProjectiveSpace, values: np.ndarray):
         if len(values) != space.num_points:
@@ -49,20 +49,19 @@ class Codeword:
         self.space = space
         self.values = vals
         self._support = None
-        self._terms = self._repeats = None
+        self._terms = None
 
     @classmethod
     def _with_support(cls, space: ProjectiveSpace, values: np.ndarray,
-                      supp: np.ndarray, terms: Optional[tuple] = None,
-                      repeats: Optional[np.ndarray] = None) -> "Codeword":
+                      supp: np.ndarray, terms: Optional[tuple] = None) -> "Codeword":
         """A codeword from values already in [0, p), their sorted support and,
-        if known, the terms they sum and the repeats of their sorted rows,
-        all built by this package; none is checked or copied."""
+        if known, the terms they sum, all built by this package; none is
+        checked or copied."""
         cw = cls.__new__(cls)
         values.setflags(write=False)
         supp.setflags(write=False)
         cw.space, cw.values, cw._support = space, values, supp
-        cw._terms, cw._repeats = terms, repeats
+        cw._terms = terms
         return cw
 
     @property
@@ -73,20 +72,6 @@ class Codeword:
             supp.setflags(write=False)
             self._support = supp
         return self._support
-
-    def _multiple_points(self) -> tuple[np.ndarray, np.ndarray]:
-        """The sorted points on two or more of the term hyperplanes, and how
-        many terms each lies on.  They come from the repeats of the sorted
-        term rows: kept by `combine` from its own sort, or found once from
-        the rows.  Needs `_terms`."""
-        if self._repeats is None:
-            sp = self.space
-            rows = np.sort(sp._orthogonal_indices(sp.n, [h for h, _ in self._terms]).ravel())
-            self._repeats = rows[1:][rows[1:] == rows[:-1]]
-        first = np.ones(len(self._repeats), dtype=bool)
-        first[1:] = self._repeats[1:] != self._repeats[:-1]
-        starts = np.flatnonzero(first)
-        return self._repeats[starts], np.diff(starts, append=len(self._repeats)) + 1
 
     def __eq__(self, other):
         return (isinstance(other, Codeword) and self.space is other.space
@@ -253,11 +238,9 @@ def _accumulate(space: ProjectiveSpace, terms: dict[int, int]) -> Codeword:
     PG(3,125) one costs 15.7 MB, and the freed temporaries left the peak RSS
     of a short run depending on where the allocator happened to place them.
     The support comes from the term rows: sorted, their repeats dropped by a
-    neighbour mask, and kept where the value is nonzero; the codeword keeps
-    the repeats, which name the points on two or more terms.  Rows
-    holding more entries than there are points are not kept; one scan of
-    the values is then cheaper than the sort, and memory stays at theta(n)
-    entries.
+    neighbour mask, and kept where the value is nonzero.  Rows holding more
+    entries than there are points are not kept; one scan of the values is
+    then cheaper than the sort, and memory stays at theta(n) entries.
     """
     p = space.field.p
     vals = np.zeros(space.num_points, dtype=np.int16)
@@ -278,9 +261,8 @@ def _accumulate(space: ProjectiveSpace, terms: dict[int, int]) -> Codeword:
     touched = np.sort(np.concatenate(rows)) if rows else np.zeros(0, dtype=np.int64)
     first = np.ones(len(touched), dtype=bool)
     first[1:] = touched[1:] != touched[:-1]
-    repeats = touched[~first]
     touched = touched[first]
-    return Codeword._with_support(space, vals, touched[vals[touched] != 0], pairs, repeats)
+    return Codeword._with_support(space, vals, touched[vals[touched] != 0], pairs)
 
 
 def weight(c: Codeword) -> int:

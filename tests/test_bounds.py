@@ -416,6 +416,25 @@ def test_term_spectrum_memory_stays_in_blocks(spaces, monkeypatch):
     assert peak < 2e6
 
 
+def test_many_terms_are_declined_before_their_rows(spaces, monkeypatch):
+    """3000 lines of PG(2,256): their 771000 row entries, sorted at once to
+    find U, traced a 23 MB peak before the cost check declined them.  The
+    term path now declines before building them, and the spectrum stays at
+    the point scan's 4.5 MB."""
+    ran = _dispatch(monkeypatch)
+    sp = spaces(2, 2, 8)
+    cw, _ = random_combination(sp, 3000, np.random.default_rng(25))
+    assert len(cw._terms) * (sp.q + 1) > bounds._CHUNK_ENTRIES
+    tracemalloc.start()
+    try:
+        secant_spectrum(cw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ran == {"declined": 1, "scan": 1}
+    assert peak < 6e6
+
+
 def test_line_cap_comes_before_the_term_path(spaces, monkeypatch):
     """PG(3,125) has 246 million lines, over the default cap: two planes
     are refused with the scan's message, and no term work is done."""
