@@ -275,6 +275,12 @@ def _check(name: str, fn) -> bool:
     return ok
 
 
+def _require(ok, *message) -> None:
+    """`assert ok, *message`, kept under `python -O`."""
+    if not ok:
+        raise AssertionError(*message)
+
+
 def _suite_bounds(args) -> list[tuple[str, callable]]:
     def prop_thick_lower_bound():
         for n in range(2, 9):
@@ -287,20 +293,20 @@ def _suite_bounds(args) -> list[tuple[str, callable]]:
                     for i in range(1, n + 1):
                         lhs = bounds.theta(i, q) - dn * q ** (i - 1) + 1
                         u = bounds.thick_bound_U(i, ctx)
-                        assert lhs <= u, (n, p, h, i)
+                        _require(lhs <= u, (n, p, h, i))
                         if i == 1:
-                            assert lhs == u, (n, p, h)
+                            _require(lhs == u, (n, p, h))
                     h += 1
 
     def theta_recursion():
         for q in (4, 5, 32, 64, 125):
             for n in range(1, 6):
-                assert q * bounds.theta(n - 1, q) + 1 == bounds.theta(n, q)
+                _require(q * bounds.theta(n - 1, q) + 1 == bounds.theta(n, q))
 
     def delta_halving():
         for (n, p, h) in ((3, 2, 6), (3, 5, 3), (4, 2, 8), (3, 11, 2)):
             ctx = BoundContext(n, p, h)
-            assert 2 * bounds.delta(n, ctx) <= bounds.delta(n - 1, ctx)
+            _require(2 * bounds.delta(n, ctx) <= bounds.delta(n - 1, ctx))
 
     return [("prop-thick-lower-bound", prop_thick_lower_bound),
             ("theta-recursion", theta_recursion),
@@ -322,10 +328,10 @@ def _suite_secants(args) -> list[tuple[str, callable]]:
                                           threads=args.threads)
             scan = bounds.secant_spectrum(codes.Codeword(space, cw.values),
                                           max_lines=args.cap_lines, threads=args.threads)
-            assert spec.histogram == scan.histogram, "term spectrum differs from the point scan"
+            _require(spec.histogram == scan.histogram, "term spectrum differs from the point scan")
             for s in spec.histogram:
-                assert not (dn + 1 <= s <= space.q - dn + 1), f"{s}-secant in gap"
-                assert s <= w1 or s >= u1, f"{s}-secant neither thin nor thick"
+                _require(not (dn + 1 <= s <= space.q - dn + 1), f"{s}-secant in gap")
+                _require(s <= w1 or s >= u1, f"{s}-secant neither thin nor thick")
 
     return [("secant-gap-and-dichotomy", gap_and_dichotomy)]
 
@@ -341,8 +347,8 @@ def _suite_roundtrip(args) -> list[tuple[str, callable]]:
             j = int(rng.integers(1, max(2, dn)))
             cw, d_true = minimality.random_combination(space, j, rng)
             d = minimality.decompose(cw)
-            assert d.terms == d_true.terms, "terms not recovered"
-            assert d.m == -(-codes.weight(cw) // theta_h), "term count mismatch"
+            _require(d.terms == d_true.terms, "terms not recovered")
+            _require(d.m == -(-codes.weight(cw) // theta_h), "term count mismatch")
 
     return [("decompose-roundtrip", roundtrip)]
 
@@ -355,23 +361,23 @@ def _suite_minimality(args) -> list[tuple[str, callable]]:
         expected = {frozenset(info["r"] + [info["s_prime"]]),
                     frozenset(info["s"] + [info["r_prime"]]),
                     frozenset([info["t"]])}
-        assert set(rep.fixpoint.blocks) == expected
-        assert set(rep.exceptional_holes) == {info["R"], info["S"]}
-        assert rep.verdict == minimality.VERDICT_UNDETERMINED
-        assert rep.oracle.minimal is True
+        _require(set(rep.fixpoint.blocks) == expected)
+        _require(set(rep.exceptional_holes) == {info["R"], info["S"]})
+        _require(rep.verdict == minimality.VERDICT_UNDETERMINED)
+        _require(rep.oracle.minimal is True)
 
     def char2_fixtures():
         space = _space_from_params(2, 2, 5, args.cap_points)
         for kind in ("pencil", "no-hole-line"):
             cw = minimality.p2_fixtures(space, kind)[0]
             rep = minimality.verdict(cw, with_oracle=True, oracle_cap=args.cap_oracle)
-            assert rep.verdict == minimality.VERDICT_NOT_MINIMAL, kind
+            _require(rep.verdict == minimality.VERDICT_NOT_MINIMAL, kind)
             w = rep.witness
-            assert w is not None
-            assert not np.any((w.values != 0) & (cw.values == 0)), "support escape"
-            assert not minimality._is_scalar_multiple(
-                w.values, cw.values, space.field.p), "witness proportional"
-            assert rep.oracle.minimal is False, kind
+            _require(w is not None)
+            _require(not np.any((w.values != 0) & (cw.values == 0)), "support escape")
+            _require(not minimality._is_scalar_multiple(
+                w.values, cw.values, space.field.p), "witness proportional")
+            _require(rep.oracle.minimal is False, kind)
 
     return [("seven-line-example", seven_line),
             ("char2-fixtures", char2_fixtures)]

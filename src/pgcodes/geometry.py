@@ -28,12 +28,6 @@ import numpy as np
 from .ff import Field
 
 DEFAULT_POINT_CAP = 10_000_000
-# The quotient pencil table (see `ProjectiveSpace._quotient_rows`) is kept
-# while its int32 entries fit this many bytes: 7.9 MB at PG(3,125), 152 MB
-# at PG(4,32).  Above it the rows are computed on each call.  At n >= 3
-# only the full-pencil fallback of the peel reads it, so a space whose
-# peels are all certified never builds it.
-QUOTIENT_TABLE_CAP_BYTES = 256 << 20
 # Row blocks of the orthogonality primitive hold at most this many entries.
 _CHUNK_ENTRIES = 1 << 18
 
@@ -157,7 +151,6 @@ class ProjectiveSpace:
         self.q = q
         self._enums: dict[int, _Enumeration] = {}
         self._enum = self._get_enum(n)
-        self._quotient_table: Optional[np.ndarray] = None
 
     # -- basics ---------------------------------------------------------------
 
@@ -230,7 +223,7 @@ class ProjectiveSpace:
         with w = q^(dim-j), and the index is theta(dim-j-1)
         + w (1 + q u + x_j) + b.  x_j is built for every u with one
         broadcast `array_add` per coordinate before j.  The ys are grouped
-        by j.
+        by j.  As x_j < q and b < w, every row increases.
         """
         f, q = self.field, self.q
         coords = self._get_enum(dim).table[np.asarray(ys, dtype=np.int64)]
@@ -275,16 +268,18 @@ class ProjectiveSpace:
     def _pencil_index(self, p: int, t: int) -> int:
         """pencil_indices(p)[t] without the row: with j the trailing nonzero
         position of p, the hyperplane whose coordinates off j are point t of
-        PG(n-1, q) and whose coordinate j is sum c_i x_i, c_i = -p_i / p_j,
-        as in `_orthogonal_indices`."""
-        f, n = self.field, self.n
-        a = self.point_table[p]
-        j = n - int(np.argmax(a[::-1] != 0))
-        x = np.insert(self._get_enum(n - 1).table[t], j, 0)
-        c = f.mul_table[a[:j], f.mul_table[f.p - 1, f.inv_table[a[j]]]]
-        for term in f.mul_table[c, x[:j]].tolist():
-            x[j] = f.add(int(x[j]), term)
-        return int(self._enum.index_vectors(x[:, None])[0])
+        PG(n-1, q) and whose coordinate j is sum c_i x_i, c_i = -p_i / p_j, as
+        in `_orthogonal_indices`; it is canonical, so its index is closed form."""
+        f, e = self.field, self._enum
+        a = self.point_table[p].tolist()
+        j = max(i for i, v in enumerate(a) if v)
+        x = self._get_enum(self.n - 1).table[t].tolist()
+        x.insert(j, 0)
+        c = f.mul(f.p - 1, f.inv(a[j]))
+        for i in range(j):
+            x[j] = f.add(x[j], f.mul(f.mul(a[i], c), x[i]))
+        k = next(i for i, v in enumerate(x) if v)
+        return int(e.lead_offset[k]) + sum(v * w for v, w in zip(x, e.weights.tolist()))
 
     # -- the quotient at a point ------------------------------------------------
 
@@ -326,25 +321,6 @@ class ProjectiveSpace:
             for col, i in enumerate(off[1:], 1):
                 index += f.array_add(x[i], np.take(f.mul_table[c[col]], x[j])) * weights[col]
         return out
-
-    def _quotient_rows(self, ys: np.ndarray) -> np.ndarray:
-        """`_orthogonal_indices` over the quotient PG(n-1, q) for the ys.
-
-        The whole table of rows is built on first use and cached while it
-        fits QUOTIENT_TABLE_CAP_BYTES; above the cap the rows of the ys are
-        computed on each call.  Callers pass ys in `_chunk_slices` blocks.
-        """
-        d = self.n - 1
-        tq, width = self.theta(d), self.theta(d - 1)
-        if self._quotient_table is None and 4 * tq * width <= QUOTIENT_TABLE_CAP_BYTES:
-            table = np.empty((tq, width), dtype=np.int32)
-            for sl in _chunk_slices(tq, width):
-                table[sl] = self._orthogonal_indices(d, np.arange(sl.start, sl.stop))
-            table.setflags(write=False)
-            self._quotient_table = table
-        if self._quotient_table is not None:
-            return self._quotient_table[ys]
-        return self._orthogonal_indices(d, ys)
 
     # -- lines ------------------------------------------------------------------
 

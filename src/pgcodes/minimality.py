@@ -21,7 +21,7 @@ import numpy as np
 from . import bounds
 from .bounds import BoundContext
 from .codes import Codeword, Decomposition, combine, weight
-from .ff import nullspace
+from .ff import Field, nullspace
 from .geometry import ProjectiveSpace, _chunk_slices
 
 DEFAULT_ORACLE_CAP = 100_000_000
@@ -129,36 +129,60 @@ def _histogram(space: ProjectiveSpace, supp: np.ndarray, vals: np.ndarray,
     return np.bincount(codes, minlength=space.theta(space.n - 1) * (p - 1)).reshape(-1, p - 1)
 
 
-def _pencil_counts(space: ProjectiveSpace, hist: np.ndarray, anchor: int, anchor_val: int):
-    """Counts of same-valued support points on every hyperplane through an anchor.
+def _plane_pairing(f: Field) -> np.ndarray:
+    """perm[t]: the one point y of PG(1, q) with t . y = 0, for every point
+    t, in enumeration order: (0, 1) and (1, 0) swap, and (1, b) goes to
+    (1, -1/b).  An involution."""
+    perm = np.empty(f.q + 1, dtype=np.intp)
+    perm[0], perm[1] = 1, 0
+    perm[2:] = 1 + f.mul_table[f.p - 1][f.inv_table[1:f.q]]     # -1 is encoded p - 1
+    return perm
 
-    The hyperplanes through the anchor are listed by pencil_indices(anchor),
-    whose position t is a point of the quotient PG(n-1, q).  A support
-    point projecting to y lies on hyperplane t iff t . y = 0, so scattering
-    the anchor's `_histogram` through the quotient rows of the nonzero y
-    gives per-hyperplane counts; the anchor, of value anchor_val, lies on
-    every one.  At n >= 3 this is the fallback of `_certified_candidate`
-    and the reference it is tested against.  Returns (counts[t, alpha-1],
-    hyperplane index per t).
+
+def _pencil_counts(space: ProjectiveSpace, hist: np.ndarray, anchor_val: int) -> np.ndarray:
+    """counts[t, alpha-1]: the support points of value alpha, the anchor of
+    value anchor_val included, on hyperplane pencil_indices(anchor)[t].
+
+    Position t is a point of the quotient PG(n-1, q), and a support point
+    projecting to y lies on hyperplane t iff t . y = 0, so the counts sum
+    the anchor's `_histogram` over the quotient row of t.  In the plane that
+    row is one point, perm[t] of `_plane_pairing`, so the counts are the
+    histogram's rows permuted.  At n >= 3 the histogram of every nonzero y
+    is scattered through its row, in blocks; this is the fallback of
+    `_certified_candidate` and the reference it is tested against.
     """
-    p = space.field.p
-    cand_idx = space.pencil_indices(anchor)
-    ys, alphas = np.nonzero(hist)
-    width = space.theta(space.n - 2)
-    counts = np.zeros(hist.size, dtype=np.int64)
-    for sl in _chunk_slices(len(ys), width):
-        cells = np.multiply(space._quotient_rows(ys[sl]), p - 1, dtype=np.int64) + alphas[sl, None]
-        np.add.at(counts, cells.ravel(), np.repeat(hist[ys[sl], alphas[sl]], width))
-    counts = counts.reshape(hist.shape)
+    if space.n == 2:
+        counts = hist[_plane_pairing(space.field)]
+    else:
+        p = space.field.p
+        ys, alphas = np.nonzero(hist)
+        width = space.theta(space.n - 2)
+        counts = np.zeros(hist.size, dtype=np.int64)
+        for sl in _chunk_slices(len(ys), width):
+            cells = space._orthogonal_indices(space.n - 1, ys[sl]) * (p - 1) + alphas[sl, None]
+            np.add.at(counts, cells.ravel(), np.repeat(hist[ys[sl], alphas[sl]], width))
+        counts = counts.reshape(hist.shape)
     counts[:, anchor_val - 1] += 1
-    return counts, cand_idx
+    return counts
+
+
+def _pencil_candidate(space: ProjectiveSpace, hist: np.ndarray, anchor: int, anchor_val: int):
+    """(count, hyperplane index, value, tie) of the maximal candidate of the
+    whole pencil, from `_pencil_counts`.  Ties break to the lowest
+    hyperplane index, then the smallest value.  A pencil row increases with
+    t, so that is the first maximal cell of the counts in row-major order,
+    and only its t is mapped to a hyperplane, by `_pencil_index`."""
+    counts = _pencil_counts(space, hist, anchor_val)
+    best = int(counts.max())
+    t, alpha = np.unravel_index(int(np.argmax(counts)), counts.shape)
+    tie = np.count_nonzero(counts == best) > 1
+    return best, space._pencil_index(anchor, int(t)), int(alpha) + 1, tie
 
 
 def _certified_candidate(space: ProjectiveSpace, hist: np.ndarray, anchor: int,
                          anchor_val: int):
-    """`_best_candidate(*_pencil_counts(...))` where a bound proves it is a
-    strict maximum, else None; with no scatter and no quotient table.
-    Requires n >= 3.
+    """`_pencil_candidate(...)` where a bound proves it is a strict maximum,
+    else None; with no scatter.  Requires n >= 3.
 
     Only the theta(n-2) quotient hyperplanes ts through the point y1 of the
     heaviest histogram cell are counted, each from its own row, in blocks
@@ -168,7 +192,7 @@ def _certified_candidate(space: ProjectiveSpace, hist: np.ndarray, anchor: int,
     theta(n-3) entries of column beta on row(t*) plus the top theta(n-2) -
     theta(n-3) off it.  A maximum unique among the counted ts that beats
     every such bound is the strict maximum of the whole pencil, where
-    `_best_candidate` reports no tie.
+    `_pencil_candidate` reports no tie.
     """
     d = space.n - 1
     # value-major, so that the sums and sorts below run along the last axis;
@@ -195,20 +219,6 @@ def _certified_candidate(space: ProjectiveSpace, hist: np.ndarray, anchor: int,
     if best <= bound.max():
         return None
     return best, space._pencil_index(anchor, int(ts[i])), int(alpha) + 1, False
-
-
-def _best_candidate(counts: np.ndarray, cand_idx: np.ndarray):
-    """(count, hyperplane index, value, tie) of the maximal candidate.
-
-    Ties at the maximal count break to the lowest hyperplane index, then the
-    smallest value.
-    """
-    best = int(counts.max())
-    ts, als = np.nonzero(counts == best)
-    hyp = cand_idx[ts]
-    order = np.lexsort((als, hyp))
-    k = order[0]
-    return best, int(hyp[k]), int(als[k]) + 1, len(ts) > 1
 
 
 def _peel(supp: np.ndarray, vals: np.ndarray, pts: np.ndarray,
@@ -252,6 +262,8 @@ def decompose(c: Codeword) -> Decomposition:
     At n >= 3 an anchor's best candidate comes from `_certified_candidate`
     where its bound holds, and from the whole pencil otherwise; both give
     the same candidate, so the peels and tie-breaks do not depend on which.
+    In the plane the whole pencil's counts are one permutation of the
+    anchor's histogram (`_pencil_counts`).
 
     Raises NoDecompositionError when no majority candidate exists anywhere or
     the peel budget is exhausted with a nonzero residual.
@@ -292,7 +304,7 @@ def decompose(c: Codeword) -> Decomposition:
                     int(supp[anchor_pos]), int(vals[anchor_pos]))
             cand = _certified_candidate(*args) if space.n >= 3 else None
             if cand is None:
-                cand = _best_candidate(*_pencil_counts(*args))
+                cand = _pencil_candidate(*args)
             best, hyp, alpha, tie = cand
             if 2 * best > theta_h:
                 if tie:

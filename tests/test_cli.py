@@ -3,6 +3,11 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -467,6 +472,35 @@ def test_verify_secants_checks_the_term_spectrum_against_the_point_scan(capsys, 
     rc, out = _run(capsys, argv)
     assert rc == 1
     assert out.splitlines()[0].endswith("(term spectrum differs from the point scan)")
+
+
+def test_verify_checks_hold_under_python_O():
+    """`python -O` strips `assert` statements, but not the checks of the
+    verify suites: with every term spectrum off by one line, `verify
+    secants` still prints its FAIL line and exits 1."""
+    script = textwrap.dedent("""
+        import sys
+        from pgcodes import bounds, cli
+
+        real = bounds._term_counts
+
+        def off_by_one(c):
+            counts = real(c)
+            if counts is not None:
+                counts[1] += 1
+            return counts
+
+        bounds._term_counts = off_by_one
+        sys.exit(cli.main(["verify", "secants", "--trials", "5", "--seed", "0"]))
+    """)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=300)
+    lines = proc.stdout.splitlines()
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert lines[0].startswith("FAIL secants:secant-gap-and-dichotomy [")
+    assert lines[0].endswith("(term spectrum differs from the point scan)")
+    assert lines[1:] == ["FAILED"]
 
 
 def test_missing_spec_file_errors(tmp_path, capsys):

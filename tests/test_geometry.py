@@ -239,19 +239,21 @@ def test_hyperplanes_through_counts(spaces):
         assert len(sp32.pencil_indices(int(pt))) == 1057  # theta_2(32)
 
 
-def _dots(sp, xs, y):
-    """GF(q) dot products of the points xs with the coordinates of point y."""
-    f, table = sp.field, sp.point_table
+def _dots(sp, xs, y, dim=None):
+    """GF(q) dot products of the points xs with the coordinates of point y,
+    points of PG(dim, q), by default of the space itself."""
+    f, table = sp.field, sp._get_enum(sp.n if dim is None else dim).table
     dots = np.zeros(len(xs), dtype=np.int64)
-    for k in range(sp.n + 1):
+    for k in range(table.shape[1]):
         dots = f.add_table[dots, f.mul_table[table[xs, k], table[y, k]]]
     return dots
 
 
 @pytest.mark.parametrize("key", [(2, 5, 3), (3, 2, 5), (4, 2, 2)])
 def test_orthogonal_rows_against_dot_products(spaces, key):
-    """Each row of the primitive is exactly the zero set of the GF(q) dot
-    product with its point, and is the array hyperplane_point_indices and
+    """Each row of the primitive, over the space and over its quotient
+    PG(n-1, q), is exactly the zero set of the GF(q) dot product with its
+    point, and over the space is the array hyperplane_point_indices and
     pencil_indices return."""
     sp = spaces(*key)
     rng = np.random.default_rng(44)
@@ -265,7 +267,10 @@ def test_orthogonal_rows_against_dot_products(spaces, key):
         assert np.array_equal(row, sp.hyperplane_point_indices(int(y)))
         assert np.array_equal(row, sp.pencil_indices(int(y)))
     yq = rng.choice(theta(sp.n - 1, sp.q), size=10, replace=False)
-    assert np.array_equal(sp._quotient_rows(yq), sp._orthogonal_indices(sp.n - 1, yq))
+    quotient = np.arange(theta(sp.n - 1, sp.q))
+    for y, row in zip(yq, sp._orthogonal_indices(sp.n - 1, yq)):
+        on = np.nonzero(_dots(sp, quotient, y, sp.n - 1) == 0)[0]
+        assert np.array_equal(np.sort(row), on)
 
 
 def _normalising_rows(sp, dim, ys):
@@ -297,12 +302,13 @@ PRIMITIVE_SPACES = [(2, 3, 3), (3, 2, 4), (4, 2, 2), (5, 2, 1)]
 def test_closed_form_rows_match_normalising_rows(spaces, key):
     """At PG(2,27), PG(3,16), PG(4,4) and PG(5,2), for every point of
     PG(n, q) and of PG(n-1, q), the closed-form row holds the same points as
-    the normalising reference."""
+    the normalising reference, in increasing order."""
     sp = spaces(*key)
     for dim in (sp.n, sp.n - 1):
         ys = np.arange(theta(dim, sp.q))
-        assert np.array_equal(np.sort(sp._orthogonal_indices(dim, ys), axis=1),
-                              np.sort(_normalising_rows(sp, dim, ys), axis=1))
+        rows = sp._orthogonal_indices(dim, ys)
+        assert np.all(np.diff(rows, axis=1) > 0)
+        assert np.array_equal(rows, np.sort(_normalising_rows(sp, dim, ys), axis=1))
 
 
 @pytest.mark.parametrize("key", PRIMITIVE_SPACES)
@@ -316,7 +322,7 @@ def test_pencil_position_is_quotient_point(spaces, key):
         others = np.setdiff1d(rng.choice(sp.num_points, size=min(200, sp.num_points)), [a])
         pencil = sp.pencil_indices(int(a))
         on = np.stack([_dots(sp, others, h) == 0 for h in pencil], axis=1)
-        rows = sp._quotient_rows(sp._project(int(a), others))
+        rows = sp._orthogonal_indices(sp.n - 1, sp._project(int(a), others))
         expected = np.zeros_like(on)
         np.put_along_axis(expected, rows, True, axis=1)
         assert np.array_equal(on, expected)
@@ -374,7 +380,8 @@ def test_project_sampled_at_2048(spaces):
 @pytest.mark.parametrize("key", PRIMITIVE_SPACES)
 def test_pencil_counts_against_dot_products(spaces, key):
     """counts[t, v-1] of _pencil_counts is the number of support points of
-    value v on hyperplane cand_idx[t], counted by direct dot products."""
+    value v on hyperplane pencil_indices(anchor)[t], counted by direct dot
+    products."""
     sp = spaces(*key)
     p = sp.field.p
     rng = np.random.default_rng(72)
@@ -384,9 +391,10 @@ def test_pencil_counts_against_dot_products(spaces, key):
     supp = np.nonzero(residual)[0]
     for anchor_pos in (0, len(supp) - 1, int(rng.integers(len(supp)))):
         hist = _histogram(sp, supp, residual[supp], anchor_pos)
-        counts, cand_idx = _pencil_counts(sp, hist, int(supp[anchor_pos]), int(residual[supp[anchor_pos]]))
-        assert np.array_equal(np.sort(cand_idx), np.sort(sp.pencil_indices(int(supp[anchor_pos]))))
-        for t, h in enumerate(cand_idx):
+        counts = _pencil_counts(sp, hist, int(residual[supp[anchor_pos]]))
+        pencil = sp.pencil_indices(int(supp[anchor_pos]))
+        assert counts.shape == (len(pencil), p - 1)
+        for t, h in enumerate(pencil):
             vals = residual[supp[_dots(sp, supp, h) == 0]]
             assert counts[t].tolist() == [int(np.sum(vals == v)) for v in range(1, p)]
 

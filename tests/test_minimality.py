@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pgcodes import bounds, geometry, minimality
+from pgcodes import bounds, minimality
 from pgcodes import (AdjacencyWitnessGraph, BoundContext, Codeword, Decomposition,
                      NoDecompositionError, OracleResult, combine, decompose,
                      incidence_codeword, nullspace, oracle_minimal,
@@ -15,9 +15,10 @@ from pgcodes import (AdjacencyWitnessGraph, BoundContext, Codeword, Decompositio
 from pgcodes.minimality import (DEFAULT_ORACLE_CAP, VERDICT_MINIMAL,
                                 VERDICT_NOT_MINIMAL, VERDICT_UNDETERMINED,
                                 NoWitnessError, OracleCapExceededError,
-                                _best_candidate, _certified_candidate, _histogram,
+                                _certified_candidate, _histogram,
                                 _is_scalar_multiple, _make_partition,
-                                _merge_components, _on_union, _pencil_counts, _peel,
+                                _merge_components, _on_union, _pencil_candidate,
+                                _pencil_counts, _peel, _plane_pairing,
                                 build_adjacency, build_witness,
                                 exceptional_holes, random_combination)
 
@@ -90,27 +91,24 @@ def test_decompose_prime_field_flagged(spaces):
 
 
 @pytest.mark.parametrize("key", [(2, 5, 3), (3, 2, 5)])
-def test_decompose_above_quotient_table_cap(spaces, fields, monkeypatch, key):
-    """With the table cap at 0 the quotient rows are computed on each call;
-    the terms match the ground truth and the tie-breaks match the cached
-    table.  At n = 3 only the full-pencil fallback reads quotient rows, and
-    here only the tie case reaches it.  A fresh space, since the shared
-    `spaces` fixture keeps its tables."""
+def test_decompose_matches_the_scatter_reference(spaces, key):
+    """Random combinations of 1-4 hyperplanes and three hyperplanes of one
+    pencil, which tie at every peel: the terms are the ground truth, and
+    the tie-breaks are those of `_full_scan_decompose`, whose pencil counts
+    come from the scatter reference.  At n = 3 only the tie case reaches
+    the full pencil."""
     sp = spaces(*key)
     rng = np.random.default_rng(33)
     cases = [random_combination(sp, j, rng) for j in (1, 2, 3, 4)]
     pencil = [int(h) for h in np.sort(sp.pencil_indices(0))[[0, 5, 9]]]
     cases.append(combine(sp, [(h, 1) for h in pencil]))   # a tie at every peel
-    cached = [decompose(cw) for cw, _ in cases]
-    assert any(d.tie_breaks for d in cached)
-
-    monkeypatch.setattr(geometry, "QUOTIENT_TABLE_CAP_BYTES", 0)
-    fresh = space_make(key[0], fields(*key[1:]))
-    for (cw, d_true), d_cached in zip(cases, cached):
-        d = decompose(Codeword(fresh, cw.values))
+    ties = False
+    for cw, d_true in cases:
+        d = decompose(cw)
         assert d.terms == d_true.terms
-        assert d.tie_breaks == d_cached.tie_breaks
-    assert fresh._quotient_table is None
+        assert d.tie_breaks == _full_scan_decompose(cw)[2]
+        ties |= bool(d.tie_breaks)
+    assert ties
 
 
 def _codim2_pencil(space):
@@ -131,20 +129,27 @@ def _anchor_args(space, supp, vals, anchor_pos):
             int(supp[anchor_pos]), int(vals[anchor_pos]))
 
 
-def test_certified_peel_leaves_the_quotient_table_unbuilt(fields):
-    """In the regime every peel is certified, so `decompose` never builds
-    the quotient table; the tie case falls back to the full pencil, which
-    builds it.  A fresh space, since the shared `spaces` fixture keeps its
-    tables."""
-    sp = space_make(3, fields(2, 5))
+def test_certified_peel_never_falls_back_in_regime(spaces, monkeypatch):
+    """In the regime every peel of PG(3,32) is certified: `decompose`
+    recovers the terms without reaching the full pencil.  The tie case
+    falls back to it, and is recovered with the tie flagged."""
+    sp = spaces(3, 2, 5)
+    full = []
+
+    def counted(*args):
+        full.append(args[2])
+        return _pencil_candidate(*args)
+
+    monkeypatch.setattr(minimality, "_pencil_candidate", counted)
     rng = np.random.default_rng(34)
     for j in (1, 2, 3, 4):
         cw, d_true = random_combination(sp, j, rng)
         assert decompose(cw).terms == d_true.terms
-    assert sp._quotient_table is None
-    tie, _ = combine(sp, _codim2_pencil(sp))
-    assert decompose(tie).tie_breaks
-    assert sp._quotient_table is not None
+    assert full == []
+    terms = _codim2_pencil(sp)
+    d = decompose(combine(sp, terms)[0])
+    assert d.terms == dict(terms) and d.tie_breaks
+    assert full
 
 
 def test_certified_peel_memory_is_not_pencil_squared(fields):
@@ -161,14 +166,41 @@ def test_certified_peel_memory_is_not_pencil_squared(fields):
     finally:
         tracemalloc.stop()
     assert d.terms == d_true.terms
-    assert sp._quotient_table is None
     assert peak < 16e6
+
+
+def _scatter_counts(space, hist, anchor_val):
+    """Reference pencil counts: the histogram of every nonzero quotient
+    point y added with `np.add.at` into the cells of y's quotient row, and
+    the anchor on every hyperplane."""
+    p = space.field.p
+    ys, alphas = np.nonzero(hist)
+    rows = space._orthogonal_indices(space.n - 1, ys)
+    counts = np.zeros(hist.size, dtype=np.int64)
+    np.add.at(counts, (rows * (p - 1) + alphas[:, None]).ravel(),
+              np.repeat(hist[ys, alphas], rows.shape[1]))
+    counts = counts.reshape(hist.shape)
+    counts[:, anchor_val - 1] += 1
+    return counts
+
+
+def _reference_candidate(space, hist, anchor, anchor_val):
+    """(count, hyperplane index, value, tie) from `_scatter_counts` and the
+    anchor's whole pencil row, ties broken to the lowest hyperplane index,
+    then the smallest value."""
+    counts = _scatter_counts(space, hist, anchor_val)
+    best = int(counts.max())
+    ts, als = np.nonzero(counts == best)
+    hyp = space.pencil_indices(anchor)[ts]
+    k = np.lexsort((als, hyp))[0]
+    return best, int(hyp[k]), int(als[k]) + 1, len(ts) > 1
 
 
 def _full_scan_decompose(c):
     """Reference peel: the majority peel of `decompose`, finding the support
-    with a scan of every point before each peel.  Returns (terms, flags,
-    tie_breaks), or the start of the NoDecompositionError message."""
+    with a scan of every point before each peel and each anchor's candidate
+    with `_reference_candidate`.  Returns (terms, flags, tie_breaks), or the
+    start of the NoDecompositionError message."""
     space = c.space
     ctx = bounds.context_for(c)
     p = space.field.p
@@ -191,8 +223,8 @@ def _full_scan_decompose(c):
             return "residual nonzero"
         supp = np.nonzero(residual)[0]
         for anchor_pos in range(len(supp)):
-            counts, cand_idx = _pencil_counts(*_anchor_args(space, supp, residual[supp], anchor_pos))
-            best, hyp, alpha, tie = _best_candidate(counts, cand_idx)
+            best, hyp, alpha, tie = _reference_candidate(
+                *_anchor_args(space, supp, residual[supp], anchor_pos))
             if 2 * best > theta_h:
                 break
         else:
@@ -270,7 +302,7 @@ def test_certified_candidate_matches_full_pencil(spaces):
                     fallback += 1
                     continue
                 certified += 1
-                assert got == _best_candidate(*_pencil_counts(*args))
+                assert got == _pencil_candidate(*args)
             try:
                 d = decompose(cw)
                 got = d.terms, d.flags, d.tie_breaks
@@ -280,6 +312,51 @@ def test_certified_candidate_matches_full_pencil(spaces):
             ref = _full_scan_decompose(cw)
             assert got.startswith(ref) if isinstance(ref, str) else got == ref
     assert certified and fallback and ties
+
+
+PAIRING_FIELDS = [(3, 1), (2, 2), (3, 2), (5, 3), (2, 11)]    # q = 3, 4, 9, 125, 2048
+
+
+@pytest.mark.parametrize("p,h", PAIRING_FIELDS)
+def test_plane_pairing_is_the_quotient_row(spaces, p, h):
+    """For every point y of PG(1, q), the pairing is the one entry of y's
+    row from the primitive, and pairing twice is the identity."""
+    sp = spaces(2, p, h)
+    perm = _plane_pairing(sp.field)
+    ys = np.arange(sp.q + 1)
+    assert np.array_equal(perm, sp._orthogonal_indices(1, ys)[:, 0])
+    assert np.array_equal(perm[perm], ys)
+
+
+@pytest.mark.parametrize("p,h", PAIRING_FIELDS)
+def test_plane_pencil_counts_match_the_scatter(spaces, p, h):
+    """At anchors of random supports, of lines through one point, which tie,
+    and of a single point, whose whole pencil ties, the plane's permuted
+    counts equal the scatter reference, and the candidate, tie-break
+    included, is the one the anchor's pencil row gives."""
+    sp = spaces(2, p, h)
+    rng = np.random.default_rng(p * 100 + h)
+    supports = []
+    for size in (5, 3 * sp.q, min(sp.num_points, 30 * sp.q)):
+        values = np.zeros(sp.num_points, dtype=np.int16)
+        values[rng.choice(sp.num_points, size=size, replace=False)] = \
+            rng.integers(1, p, size=size)
+        supports.append(values)
+    through = np.sort(sp.pencil_indices(7))[:3]
+    supports.append(combine(sp, [(int(l), 1) for l in through])[0].values)
+    supports.append(np.zeros(sp.num_points, dtype=np.int16))
+    supports[-1][11] = 1
+    ties = 0
+    for values in supports:
+        supp = np.flatnonzero(values)
+        for pos in {0, len(supp) - 1, *rng.integers(len(supp), size=4).tolist()}:
+            args = _anchor_args(sp, supp, values[supp], pos)
+            assert np.array_equal(_pencil_counts(sp, args[1], args[3]),
+                                  _scatter_counts(sp, args[1], args[3]))
+            got = _pencil_candidate(*args)
+            assert got == _reference_candidate(*args)
+            ties += got[3]
+    assert ties
 
 
 @pytest.mark.parametrize("p,h", [(2, 3), (3, 2), (5, 1)])

@@ -11,9 +11,10 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from pgcodes import bounds, combine, decompose, field_make, space_make, verdict, weight
 from pgcodes.ff import MAX_Q, is_irreducible, is_prime
-from pgcodes.minimality import (VERDICT_MINIMAL, VERDICT_NOT_MINIMAL, _best_candidate,
-                                _certified_candidate, _histogram, _pencil_counts)
+from pgcodes.minimality import (VERDICT_MINIMAL, VERDICT_NOT_MINIMAL, _certified_candidate,
+                                _histogram, _pencil_candidate, _pencil_counts)
 from test_ff import rabin_irreducible
+from test_minimality import _reference_candidate, _scatter_counts
 
 PROPERTY_SETTINGS = dict(derandomize=True, database=None, deadline=None)
 
@@ -98,7 +99,28 @@ def test_certified_candidate_is_the_full_pencils(drawn, data):
     args = (sp, _histogram(sp, supp, values[supp], pos), int(supp[pos]), int(values[supp[pos]]))
     got = _certified_candidate(*args)
     if got is not None:
-        assert got == _best_candidate(*_pencil_counts(*args))
+        assert got == _pencil_candidate(*args)
+
+
+@settings(max_examples=100, **PROPERTY_SETTINGS)
+@given(combinations([(2, p, h) for p, h in SMALL_FIELDS] + [(2, 2, 5), (2, 5, 3)], 4),
+       st.data())
+def test_plane_pencil_counts_are_the_scatters(drawn, data):
+    """In the plane, at an anchor of a combination with a few points
+    overwritten, the permuted histogram is the scatter reference's counts,
+    and the candidate, tie-break included, the one the pencil row gives."""
+    sp, terms = drawn
+    values = combine(sp, terms.items())[0].values.copy()
+    points = data.draw(st.lists(st.integers(0, sp.num_points - 1), max_size=3))
+    values[points] = data.draw(st.lists(st.integers(0, sp.field.p - 1),
+                                        min_size=len(points), max_size=len(points)))
+    supp = np.flatnonzero(values)
+    assume(len(supp))
+    pos = data.draw(st.integers(0, len(supp) - 1))
+    hist, val = _histogram(sp, supp, values[supp], pos), int(values[supp[pos]])
+    assert np.array_equal(_pencil_counts(sp, hist, val), _scatter_counts(sp, hist, val))
+    args = (sp, hist, int(supp[pos]), val)
+    assert _pencil_candidate(*args) == _reference_candidate(*args)
 
 
 @settings(max_examples=100, **PROPERTY_SETTINGS)
