@@ -244,31 +244,32 @@ def _term_counts(c: Codeword) -> Optional[np.ndarray]:
     c = sum a_i [H_i] in s points, from its m terms (H_i, a_i) alone, with
     hist[0] not filled; None where _TERM_COST W m > wt, W the walks below:
     the point scan then costs less.  Also None, before any work, where the
-    m theta(n-1) term rows that give U hold more than _CHUNK_ENTRIES
+    m theta(n-1) term rows that give V hold more than _CHUNK_ENTRIES
     entries: they are sorted in one piece, and the scan keeps to blocks.
 
     A line l meets each H_i in one point or lies in it.  With A the sum of
     the a_i of the H_i that hold l, d the number of distinct points where
     the others meet l, and s(P) the sum of the a_i meeting l at P,
     |l & supp c| = (q + 1 - d) [A != 0] + #{P : A + s(P) != 0}.  With
-    m >= 2, let U be the points on two or more H_i.  A line that misses U
-    lies in no H_i and meets them in m distinct points, so it counts m.
-    Every other line is some XY with X in U and Y on x_j = 0, j the leading
+    m >= 2, let V be the points on two or more H_i (U, in `codes`, is all
+    of their union).  A line that misses V lies in no H_i and meets them in
+    m distinct points, so it counts m.
+    Every other line is some XY with X in V and Y on x_j = 0, j the leading
     position of X.  Its points are X + tY for t in GF(q) and Y, and H_i
     meets it at t = -(H_i.X)/(H_i.Y); at Y where only H_i.Y is 0, and
     nowhere (it holds l) where both are.  The line is reached once from each
-    of its k = |l & U| points: q + 1 when two or more H_i hold it, d when
+    of its k = |l & V| points: q + 1 when two or more H_i hold it, d when
     one does, and otherwise the number of points where two or more H_i meet
     it.  So each (count, k) tally divides by k exactly, and no line needs an
     ownership test.
 
-    Points X of U with the same leading position, the same H_i through them
+    Points X of V with the same leading position, the same H_i through them
     and at most one H_i off them see the same (count, k) on XY for every Y:
     that one H_i meets XY at a point of no other term.  One walk of the
     theta(n-1) lines through X stands for all of them; every other X is
     walked on its own.
     """
-    sp, terms, wt = c.space, c._terms, len(c.support)
+    sp, terms, wt = c.space, c._terms.terms, len(c.support)
     f, n, q, p = sp.field, sp.n, sp.q, sp.field.p
     m = len(terms)
     hist = np.zeros(q + 2, dtype=np.int64)
@@ -281,19 +282,19 @@ def _term_counts(c: Codeword) -> Optional[np.ndarray]:
         return hist
     if m * sp.theta(n - 1) > _CHUNK_ENTRIES:
         return None
-    # U: the repeats of the sorted term rows, with the number of terms through each
-    rows = np.sort(sp._orthogonal_indices(n, [h for h, _ in terms]).ravel())
+    # V: the repeats of the sorted term rows, with the number of terms through each
+    rows = np.sort(sp._orthogonal_indices(n, list(terms)).ravel())
     multiple, mult = np.unique(rows[1:][rows[1:] == rows[:-1]], return_counts=True)
     mult += 1
-    # a point of U off two or more terms is a walk of its own
+    # a point of V off two or more terms is a walk of its own
     if _TERM_COST * int((mult <= m - 2).sum()) * m > wt:
         return None
-    duals = sp.hyperplane_table[[h for h, _ in terms]]
+    duals = sp.hyperplane_table[list(terms)]
     xs = sp.point_table[multiple]
     lead = (xs != 0).argmax(axis=1)
     neg_u = f.mul_table[p - 1][_f_matmul(f, xs, duals.T)]         # -H_i.X, -1 = p - 1
     off = m - (neg_u == 0).sum(axis=1)
-    walks = {}                  # (leading position, X walked for) -> positions in U
+    walks = {}                  # (leading position, X walked for) -> positions in V
     for x in np.flatnonzero(off > 1).tolist():
         walks.setdefault((int(lead[x]), 1), []).append(x)
     shared = np.flatnonzero(off <= 1)
@@ -306,7 +307,7 @@ def _term_counts(c: Codeword) -> Optional[np.ndarray]:
     if _TERM_COST * sum(map(len, walks.values())) * m > wt:
         return None
 
-    coefs = np.array([a for _, a in terms], dtype=np.int32)
+    coefs = np.array(list(terms.values()), dtype=np.int32)
     bits = p.bit_length()                       # a key is par << bits | a
     ys = sp._get_enum(n - 1).table
     width = len(ys)
@@ -341,7 +342,7 @@ def _term_counts(c: Codeword) -> Optional[np.ndarray]:
 def _tally(keys: np.ndarray, q: int, p: int, bits: int, weight: int,
            hist: np.ndarray, reached_often: dict):
     """Count the lines of one block, each `weight` times: into hist where
-    the line has one point in U, and into reached_often by (k, count)
+    the line has one point in V, and into reached_often by (k, count)
     otherwise.
 
     Row r of keys holds line r's m entries par << bits | a, sorted, with par

@@ -123,17 +123,17 @@ def _build_from_spec(spec: dict, cap_points: Optional[int]):
         if not (isinstance(pairs, list)
                 and all(isinstance(t, list) and len(t) == 2 for t in pairs)):
             raise ValueError("terms must be a list of [hyperplane, coefficient] pairs")
-        terms = []
-        for pos, (hspec, coef) in enumerate(pairs):
-            if isinstance(hspec, list):
-                coords = [codes.checked_int(c, "a dual coordinate") for c in hspec]
-                if not any(coords):
-                    raise ValueError(f"term {pos} has the zero dual vector {coords}, "
-                                     "which names no hyperplane")
-                hidx = space.hyperplane_index(coords)
-            else:
-                hidx = codes.checked_index(hspec, space, "hyperplane")
-            terms.append((hidx, codes.checked_int(coef, "a coefficient")))
+
+        def hyperplane(pos, hspec):                  # an index is checked by `combine`
+            if not isinstance(hspec, list):
+                return hspec
+            coords = [codes.checked_int(c, "a dual coordinate") for c in hspec]
+            if not any(coords):
+                raise ValueError(f"term {pos} has the zero dual vector {coords}, "
+                                 "which names no hyperplane")
+            return space.hyperplane_index(coords)
+        # a generator, so each term is checked in turn, as `combine` reads it
+        terms = ((hyperplane(pos, hspec), coef) for pos, (hspec, coef) in enumerate(pairs))
         return (*codes.combine(space, terms), None)
     if fixture == "szonyi":
         return minimality.szonyi_example(space)

@@ -8,7 +8,8 @@ which hyperplanes carry nonzero coefficients in a `Decomposition`.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -31,20 +32,23 @@ class Codeword:
     """Immutable vector of canonical F_p residues indexed by point index,
     with its sorted, read-only support.
 
-    A codeword built by `combine`, `partial_combination` or
-    `incidence_codeword` also carries its terms in `_terms`: a tuple of
-    (hyperplane, coefficient) pairs with distinct hyperplanes and nonzero
-    coefficients, which `secant_spectrum` reads.  A codeword built from
-    values, `+`, `-` and `scaled` among them, carries None.  Equality and
-    `to_json` read the values alone.
+    `values` must be a 1-D integer vector, one entry per point; it is
+    reduced mod p and copied.  A codeword built by `combine`,
+    `partial_combination` or `incidence_codeword` also carries in `_terms`
+    the `Decomposition` it sums, which `secant_spectrum` reads; one built
+    from values, `+`, `-` and `scaled` among them, carries None.  Equality
+    and `to_json` read the values alone.
     """
 
     __slots__ = ("space", "values", "_support", "_terms")
 
-    def __init__(self, space: ProjectiveSpace, values: np.ndarray):
-        if len(values) != space.num_points:
+    def __init__(self, space: ProjectiveSpace, values):
+        vals = np.asarray(values)
+        if vals.ndim != 1 or vals.dtype.kind not in "iu":
+            raise ValueError(f"values must be a 1-D integer vector, not {vals.ndim}-D {vals.dtype}")
+        if len(vals) != space.num_points:
             raise ValueError("value vector length must equal the point count")
-        vals = _residues(values, space.field.p)
+        vals = _residues(vals, space.field.p)
         vals.setflags(write=False)
         self.space = space
         self.values = vals
@@ -53,10 +57,10 @@ class Codeword:
 
     @classmethod
     def _with_support(cls, space: ProjectiveSpace, values: np.ndarray,
-                      supp: np.ndarray, terms: Optional[tuple] = None) -> "Codeword":
+                      supp: np.ndarray, terms: Optional[Decomposition] = None) -> Codeword:
         """A codeword from values already in [0, p), their sorted support and,
-        if known, the terms they sum, all built by this package; none is
-        checked or copied."""
+        if known, the Decomposition they sum, all built by this package; none
+        is checked or copied."""
         cw = cls.__new__(cls)
         values.setflags(write=False)
         supp.setflags(write=False)
@@ -91,7 +95,8 @@ class Codeword:
         return Codeword(self.space, (self.values - self._values_of(other)) % self.space.field.p)
 
     def scaled(self, alpha: int) -> "Codeword":
-        return Codeword(self.space, (self.values.astype(np.int64) * alpha) % self.space.field.p)
+        alpha = checked_int(alpha, "alpha") % self.space.field.p     # so no int64 wraps
+        return Codeword(self.space, self.values.astype(np.int64) * alpha)
 
     def is_zero(self) -> bool:
         return len(self.support) == 0
@@ -125,59 +130,52 @@ def checked_index(i, space: ProjectiveSpace, what: str) -> int:
 class Decomposition:
     """A codeword written as sum of coefficient * hyperplane indicator.
 
-    `terms` maps hyperplane index to its nonzero F_p coefficient; this is the
-    extended evaluation of the codeword on hyperplanes (zero off `terms`).
+    `terms` maps hyperplane index to its nonzero F_p coefficient (the extended
+    evaluation on hyperplanes), sorted by index; entries are checked in input
+    order.  It is read-only, so the U that `_union_positions` caches stays valid.
     """
 
     __slots__ = ("space", "terms", "dropped", "flags", "tie_breaks", "_union")
 
-    def __init__(self, space: ProjectiveSpace, terms: dict[int, int],
+    def __init__(self, space: ProjectiveSpace, terms: Mapping[int, int],
                  dropped: Sequence[int] = (), flags: Sequence[str] = (),
                  tie_breaks: Sequence[int] = ()):
         p = space.field.p
-        clean = {}
-        for hidx in sorted(terms):
-            coef = terms[hidx] % p
-            if coef == 0:
-                raise ValueError("decomposition terms must have nonzero coefficients")
-            clean[int(hidx)] = int(coef)
+        clean = {checked_index(h, space, "hyperplane"): checked_int(a, "a coefficient") % p
+                 for h, a in terms.items()}
+        if 0 in clean.values():
+            raise ValueError("decomposition terms must have nonzero coefficients")
         self.space = space
-        self.terms = clean
+        self.terms = MappingProxyType(dict(sorted(clean.items())))
         self.dropped = tuple(dropped)
         self.flags = tuple(flags)
         self.tie_breaks = tuple(tie_breaks)
         self._union = None
+
+    def __reduce__(self):                           # a mapping proxy does not pickle
+        return Decomposition, (self.space, dict(self.terms), self.dropped, self.flags,
+                               self.tie_breaks)
 
     @property
     def m(self) -> int:
         return len(self.terms)
 
     def _union_positions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The sorted union U of the term hyperplanes' points; an
+        """U, the sorted union of all the term hyperplanes' points; an
         m x theta(n-1) array whose row r holds the positions in U of the
         points of the r-th hyperplane of `terms`; the positions in U of c's
         holes, where two or more terms cancel; and c on U, in int64.
 
         Filled on first use and kept, so the minimality stages share one U.
-        One sort of the concatenated point lists finds U as the entries that
-        differ from their predecessor, and its inverse permutation gives the
-        positions, so no per-term search is needed.  A point's entries are
-        adjacent in that sort, so one `reduceat` sums c there.
+        One sort of the point lists (`np.unique`) finds U and, as its
+        inverse, the positions; c on U is the per-term scatter of `_union_sum`.
         """
         if self._union is None:
             sp = self.space
-            rows = sp._orthogonal_indices(
-                sp.n, [sp._checked_index(h, "hyperplane") for h in self.terms])
-            flat = rows.ravel()
-            order = np.argsort(flat)
-            ordered = flat[order]
-            first = np.ones(len(ordered), dtype=bool)
-            first[1:] = ordered[1:] != ordered[:-1]
-            union = ordered[first]
-            positions = np.empty(rows.shape, dtype=np.int64)
-            positions.ravel()[order] = np.cumsum(first) - 1
-            coefs = np.repeat(np.array(list(self.terms.values()), dtype=np.int64), rows.shape[1])
-            c_on_union = np.add.reduceat(coefs[order], np.flatnonzero(first)) % sp.field.p
+            rows = sp._orthogonal_indices(sp.n, list(self.terms))
+            union, inverse = np.unique(rows, return_inverse=True)
+            positions = inverse.reshape(rows.shape)
+            c_on_union = _scatter_sum(len(union), positions, self.terms.values(), sp.field.p)
             holes = np.flatnonzero(c_on_union == 0)
             for arr in (union, positions, holes, c_on_union):
                 arr.setflags(write=False)
@@ -185,19 +183,23 @@ class Decomposition:
         return self._union
 
     def _union_sum(self, coefs) -> np.ndarray:
-        """sum_r coefs[r] * [H_r] on U, reduced mod p, for one coefficient per
-        term in the order of `terms`: one scatter per term, in int64."""
+        """sum_r coefs[r] * [H_r] on U, mod p, one coefficient per term of `terms`."""
         union, positions = self._union_positions()[:2]
-        vals = np.zeros(len(union), dtype=np.int64)
-        for pos, a in zip(positions, coefs):
-            vals[pos] += a
-        return vals % self.space.field.p
+        return _scatter_sum(len(union), positions, coefs, self.space.field.p)
 
     def to_json(self) -> dict:
         return {"terms": [[h, c] for h, c in self.terms.items()]}
 
     def __repr__(self):
-        return f"Decomposition(m={self.m}, terms={self.terms})"
+        return f"Decomposition(m={self.m}, terms={dict(self.terms)})"
+
+
+def _scatter_sum(size: int, positions: np.ndarray, coefs: Iterable[int], p: int) -> np.ndarray:
+    """sum_r coefs[r] at the distinct positions[r], over `size` entries, mod p."""
+    vals = np.zeros(size, dtype=np.int64)
+    for pos, a in zip(positions, coefs):
+        vals[pos] += a
+    return vals % p
 
 
 # ---------------------------------------------------------------------------
@@ -206,13 +208,14 @@ class Decomposition:
 
 def incidence_codeword(space: ProjectiveSpace, h: int) -> Codeword:
     """Characteristic vector of a hyperplane: 1 on its points, 0 elsewhere."""
-    return _accumulate(space, {h: 1})
+    return _accumulate(Decomposition(space, {h: 1}))
 
 
 def combine(space: ProjectiveSpace, terms: Iterable[tuple[int, int]]
             ) -> tuple[Codeword, Decomposition]:
     """F_p-linear combination of hyperplane indicators.
 
+    Each term is checked as it is read: its hyperplane, then its coefficient.
     Duplicate hyperplanes are merged by coefficient addition; terms whose
     merged coefficient vanishes are dropped from the resulting decomposition
     and reported in its `dropped` metadata.
@@ -220,19 +223,17 @@ def combine(space: ProjectiveSpace, terms: Iterable[tuple[int, int]]
     p = space.field.p
     merged: dict[int, int] = {}
     for h, coef in terms:
-        key = int(h)
-        merged[key] = (merged.get(key, 0) + int(coef)) % p
-    dropped = sorted(k for k, v in merged.items() if v == 0)
-    surviving = {k: v for k, v in merged.items() if v != 0}
-    cw = _accumulate(space, surviving)
-    return cw, Decomposition(space, surviving, dropped=dropped)
+        key = checked_index(h, space, "hyperplane")
+        merged[key] = (merged.get(key, 0) + checked_int(coef, "a coefficient")) % p
+    d = Decomposition(space, {k: v for k, v in merged.items() if v},
+                      dropped=sorted(k for k, v in merged.items() if not v))
+    return _accumulate(d), d
 
 
-def _accumulate(space: ProjectiveSpace, terms: dict[int, int]) -> Codeword:
-    """The codeword sum coef * [hyperplane], with int16 values reduced mod p
-    term by term and the term rows taken from the primitive in
-    `_chunk_slices` blocks.  The codeword carries the terms, whose
-    coefficients the caller keeps nonzero mod p.
+def _accumulate(d: Decomposition) -> Codeword:
+    """The codeword sum coef * [hyperplane] over the terms of d, which it
+    carries, with int16 values reduced mod p term by term and the term rows
+    taken from the primitive in `_chunk_slices` blocks.
 
     Each partial sum stays below 2p, so no dense int64 vector is needed: at
     PG(3,125) one costs 15.7 MB, and the freed temporaries left the peak RSS
@@ -242,11 +243,9 @@ def _accumulate(space: ProjectiveSpace, terms: dict[int, int]) -> Codeword:
     entries than there are points are not kept; one scan of the values is
     then cheaper than the sort, and memory stays at theta(n) entries.
     """
-    p = space.field.p
+    space, p = d.space, d.space.field.p
     vals = np.zeros(space.num_points, dtype=np.int16)
-    keys = [space._checked_index(int(h), "hyperplane") for h in terms]
-    coefs = [int(c) % p for c in terms.values()]
-    pairs = tuple(zip(keys, coefs))
+    keys, coefs = list(d.terms), list(d.terms.values())
     row_len = space.theta(space.n - 1)
     keep = len(keys) * row_len <= space.num_points
     rows = []
@@ -257,12 +256,12 @@ def _accumulate(space: ProjectiveSpace, terms: dict[int, int]) -> Codeword:
         if keep:
             rows.append(block.ravel())
     if not keep:
-        return Codeword._with_support(space, vals, np.flatnonzero(vals), pairs)
+        return Codeword._with_support(space, vals, np.flatnonzero(vals), d)
     touched = np.sort(np.concatenate(rows)) if rows else np.zeros(0, dtype=np.int64)
     first = np.ones(len(touched), dtype=bool)
     first[1:] = touched[1:] != touched[:-1]
     touched = touched[first]
-    return Codeword._with_support(space, vals, touched[vals[touched] != 0], pairs)
+    return Codeword._with_support(space, vals, touched[vals[touched] != 0], d)
 
 
 def weight(c: Codeword) -> int:
@@ -277,8 +276,8 @@ def restricted_weight(c: Codeword, sub: SubspacePointSet) -> int:
 
 def partial_combination(d: Decomposition, subset: Iterable[int]) -> Codeword:
     """The combination restricted to a subset of the decomposition's terms."""
-    subset = set(int(s) for s in subset)
+    subset = {checked_int(s, "a hyperplane index") for s in subset}
     extra = subset - set(d.terms)
     if extra:
         raise ValueError(f"subset contains hyperplanes outside the decomposition: {sorted(extra)}")
-    return _accumulate(d.space, {h: d.terms[h] for h in subset})
+    return _accumulate(Decomposition(d.space, {h: d.terms[h] for h in subset}))

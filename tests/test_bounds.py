@@ -133,6 +133,21 @@ def test_classify_lines(spaces):
     assert classify(cw, tangent) is Classification.THIN
 
 
+def test_classify_lines_between_the_bounds_as_neither(spaces):
+    """In PG(2, 16) W(1) = 7 and U(1) = 14: a line with 8 to 13 support
+    points is neither thin nor thick."""
+    sp = spaces(2, 2, 4)
+    ctx = BoundContext(2, 2, 4)
+    assert (weight_bound_W(1, ctx), thick_bound_U(1, ctx)) == (7, 14)
+    on = np.sort(sp.hyperplane_point_indices(0))
+    line = sp.span_points([int(on[0]), int(on[1])])
+    for k, want in ((7, Classification.THIN), (8, Classification.NEITHER),
+                    (13, Classification.NEITHER), (14, Classification.THICK)):
+        vals = np.zeros(sp.num_points, dtype=np.int16)
+        vals[on[:k]] = 1
+        assert classify(Codeword(sp, vals), line) is want
+
+
 # ---------------------------------------------------------------------------
 # secant spectra
 # ---------------------------------------------------------------------------
@@ -349,14 +364,14 @@ def test_term_spectrum_matches_point_scan(spaces, monkeypatch):
                 (3, 2, 1), (3, 3, 1), (3, 2, 2), (4, 3, 1)):
         cws += _term_corpus(spaces(*key), rng)
     cws += [szonyi_example(spaces(*key))[0] for key in ((2, 7, 1), (2, 5, 2), (2, 5, 3))]
-    ms = Counter(len(cw._terms) for cw in cws)
+    ms = Counter(cw._terms.m for cw in cws)
     assert ms[0] and ms[1] and max(ms) > 10
     for i, cw in enumerate(cws):
         sp = cw.space
         scan = secant_spectrum(Codeword(sp, cw.values)).histogram
         assert secant_spectrum(cw).histogram == scan, i
-        if len(cw._terms) > sp.q + 1:
-            assert len(cw._terms) not in scan
+        if cw._terms.m > sp.q + 1:
+            assert cw._terms.m not in scan
     assert ran == {"term": len(cws), "scan": len(cws)}
 
 
@@ -424,7 +439,7 @@ def test_many_terms_are_declined_before_their_rows(spaces, monkeypatch):
     ran = _dispatch(monkeypatch)
     sp = spaces(2, 2, 8)
     cw, _ = random_combination(sp, 3000, np.random.default_rng(25))
-    assert len(cw._terms) * (sp.q + 1) > bounds._CHUNK_ENTRIES
+    assert cw._terms.m * (sp.q + 1) > bounds._CHUNK_ENTRIES
     tracemalloc.start()
     try:
         secant_spectrum(cw)

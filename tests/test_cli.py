@@ -211,6 +211,21 @@ def test_analyze_rejects_out_of_range_terms(tmp_path, capsys, terms):
         assert "must be an integer" in error
 
 
+@pytest.mark.parametrize("terms,error", [
+    ([[[1, 0, 0], 1.5], [[0, 0, 0], 1]], "a coefficient must be an integer, got 1.5"),
+    ([[[0, 0, 0], 1.5], [2, 1]], "term 0 has the zero dual vector [0, 0, 0], "
+                                 "which names no hyperplane"),
+    ([[2, 1], [99999, 2.5]], "hyperplane index 99999 out of range [0, 15751)"),
+    ([[2, 1.5], [99999, 2]], "a coefficient must be an integer, got 1.5"),
+])
+def test_analyze_reports_the_first_bad_term(tmp_path, capsys, terms, error):
+    """Terms are checked one at a time, in order, and each hyperplane before
+    its coefficient, whether given by index or by dual coordinates."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"n": 2, "p": 5, "h": 3, "terms": terms}))
+    assert _error_report(capsys, path) == error
+
+
 MALFORMED_SPECS = [
     ({"n": 2, "p": 5, "h": True, "terms": [[0, 1]]}, "h must be an integer"),
     ({"n": 2.0, "p": 5, "h": 3, "terms": [[0, 1]]}, "n must be an integer"),
@@ -296,6 +311,7 @@ def test_threads_below_one_is_an_error(tmp_path, capsys):
     ["verify", "secants", "--trials", "-3"],
     ["verify", "secants", "--trials", "0"],
     ["verify", "minimality", "--trials", "-1"],
+    ["verify", "secants", "--trials", "x"],
 ])
 def test_usage_errors_exit_one(tmp_path, monkeypatch, capsys, argv):
     """A usage error, an option the subcommand does not take among them,

@@ -454,6 +454,14 @@ def test_refinement_monotone(spaces):
     assert len(history) - 1 <= d.m - 1
 
 
+def test_build_adjacency_refuses_a_partition_that_misses_terms(spaces):
+    sp = spaces(2, 5, 3)
+    cw, d, _ = szonyi_example(sp)
+    for blocks in ([{h} for h in list(d.terms)[1:]], [set(d.terms) | {max(d.terms) + 1}]):
+        with pytest.raises(ValueError, match="does not cover"):
+            build_adjacency(d, _make_partition(blocks, 0))
+
+
 def test_adjacency_witnesses_recheck(spaces):
     """Stored witness points satisfy the three adjacency conditions."""
     sp = spaces(2, 5, 3)
